@@ -17,8 +17,7 @@ from .condmoments import QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
 from .distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec, LevyParams,
                             levy_cdf, sample_alternative, sample_levy)
-from .estimators import (EstimationError, estimate_cov, estimate_mle,
-                         estimate_qcm, estimate_qcv)
+from .estimators import estimate_cov, estimate_mle, estimate_qcm, estimate_qcv
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic,
                          p_value, power_study, run_test, simulate_null)
 from .statistics import STATISTIC_KINDS, StatisticSpec, evaluate
@@ -42,6 +41,15 @@ class UsageError(Exception):
     pass
 
 
+# Checked in order; ValueError (EstimationError among them) comes last.
+ERROR_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    DataError: EXIT_DATA,
+    OSError: EXIT_DATA,
+    ValueError: EXIT_ESTIMATION,
+}
+
+
 def _parse_split(text: str) -> QuantileSplit:
     try:
         a, b = (float(v) for v in text.split(","))
@@ -53,8 +61,18 @@ def _parse_split(text: str) -> QuantileSplit:
 def _parse_alt(text: str) -> AlternativeSpec:
     """family:p1,p2 or family (no parameters)."""
     fam, _, ptext = text.partition(":")
-    params = tuple(float(v) for v in ptext.split(",")) if ptext else ()
-    return AlternativeSpec(fam, params)
+    try:
+        params = tuple(float(v) for v in ptext.split(",")) if ptext else ()
+        return AlternativeSpec(fam, params)
+    except ValueError as e:
+        raise UsageError(f"bad --alt value {text!r}: {e}")
+
+
+def _plan(args, stream_offset: int = 0) -> ReplicationPlan:
+    try:
+        return ReplicationPlan(args.seed, args.replicates, args.workers, stream_offset)
+    except ValueError as e:
+        raise UsageError(f"bad --seed, --replicates or --workers: {e}")
 
 
 def read_observations(path: str, column: int | None = None) -> np.ndarray:
@@ -72,9 +90,12 @@ def read_observations(path: str, column: int | None = None) -> np.ndarray:
                 continue
             token = body.split(",")[column].strip() if column is not None else body
             try:
-                out.append(float(token))
+                value = float(token)
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{lineno}: cannot parse {body!r}")
+            if not np.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite value {body!r}")
+            out.append(value)
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -198,10 +219,10 @@ def cmd_test(args, emit: Emitter) -> int:
     failures = 0
     for kind in kinds:
         spec = StatisticSpec(kind) if args.all else _stat_spec(args)
-        plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+        plan = _plan(args)
         try:
             rep = run_test(spec, data, args.level, plan)
-        except (EstimationError, ValueError) as e:
+        except ValueError as e:
             failures += 1
             emit.record({"stat": kind, "error": str(e)})
             continue
@@ -233,7 +254,7 @@ def _n_values(args) -> list[int]:
 def cmd_calibrate(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     for n in _n_values(args):
-        plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+        plan = _plan(args)
         nd = simulate_null(spec, n, plan)
         lower, upper = calibrate(nd, args.level)
         emit.record({"stat": spec.kind, "n": n, "level": args.level,
@@ -246,10 +267,8 @@ def cmd_power(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     alt = _parse_alt(args.alt)
     for n in _n_values(args):
-        plan_null = ReplicationPlan(args.seed, args.replicates, args.workers)
-        plan_alt = ReplicationPlan(args.seed, args.replicates, args.workers,
-                                   stream_offset=args.replicates)
-        cell = power_study(spec, alt, n, args.level, plan_null, plan_alt)
+        cell = power_study(spec, alt, n, args.level, _plan(args),
+                           _plan(args, stream_offset=args.replicates))
         emit.record({"stat": cell.kind, "alt": alt.label(), "n": cell.n,
                      "level": cell.level, "power": cell.power,
                      "std_error": cell.std_error, "replicates": cell.replicates,
@@ -261,8 +280,7 @@ def cmd_power(args, emit: Emitter) -> int:
 def cmd_diagnose(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     for n in _n_values(args):
-        plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-        rep = normality_diagnostic(spec, n, plan, bins=args.bins)
+        rep = normality_diagnostic(spec, n, _plan(args), bins=args.bins)
         emit.record({"stat": rep.kind, "n": rep.n,
                      "fitted_mean": rep.fitted_mean, "fitted_std": rep.fitted_std,
                      "ks_distance": rep.ks_distance, "replicates": rep.replicates,
@@ -379,21 +397,9 @@ def main(argv=None) -> int:
     emit = Emitter(out, args.table)
     try:
         code = args.func(args, emit)
-    except UsageError as e:
+    except tuple(ERROR_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        code = EXIT_USAGE
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_DATA
-    except (EstimationError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_ESTIMATION
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_ESTIMATION
+        code = next(c for cls, c in ERROR_EXIT_CODES.items() if isinstance(e, cls))
     finally:
         if out is not sys.stdout:
             out.close()

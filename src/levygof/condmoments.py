@@ -1,11 +1,12 @@
 """Quantile conditional moments of the one-sided Levy law.
 
 Closed forms for the conditional mean and variance on a quantile window,
-order-statistic sample estimators, and an independent adaptive-quadrature
-oracle used to validate the closed forms.
+row-wise order-statistic window kernels (one sample or a (B, n) batch), and
+an independent adaptive-quadrature oracle used to validate the closed forms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +25,10 @@ __all__ = [
     "qcmoment_quadrature_oracle",
     "sample_qcm",
     "sample_qcv",
+    "window_bound",
     "window_indices",
+    "window_mean",
+    "window_var",
 ]
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -135,35 +139,44 @@ def window_indices(n: int, split: QuantileSplit) -> tuple[int, int]:
     return int(np.floor(n * split.a)), int(np.floor(n * split.b))
 
 
-def _min_n_for(split: QuantileSplit, width: int) -> int:
-    n = 1
-    while True:
-        i, j = window_indices(n, split)
-        if j - i >= width:
-            return n
-        n += 1
-        if n > 10**7:  # pragma: no cover
-            raise RuntimeError("no feasible n for split")
+def window_bound(split: QuantileSplit, width: int) -> int:
+    """Sample size from which the window holds >= `width` order statistics at every n.
+
+    floor(nb) - floor(na) > n(b - a) - 1, so n >= width / (b - a) suffices.
+    The window size is not monotone in n, so below this bound a size must be
+    checked at the actual n.
+    """
+    return math.ceil(width / (split.b - split.a))
+
+
+def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
+    n = xs.shape[-1]
+    i, j = window_indices(n, split)
+    if j - i < width:
+        raise ValueError(
+            f"window ({split.a}, {split.b}) holds {j - i} order statistics at n={n}, "
+            f"fewer than {width}; need n >= {window_bound(split, width)}")
+    return xs[..., i:j]
+
+
+def window_mean(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    """Mean of the order statistics with 1-based index in (floor(na), floor(nb)].
+
+    `xs` holds sorted rows along its last axis: one sample or a (B, n) batch.
+    """
+    return _window(xs, split, 1).mean(axis=-1)
+
+
+def window_var(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    """Windowed variance of sorted rows, with divisor equal to the window size."""
+    return _window(xs, split, 2).var(axis=-1)
 
 
 def sample_qcm(s, split: QuantileSplit) -> float:
-    """Mean of the order statistics with 1-based index in (floor(na), floor(nb)]."""
-    s = _as_sample(s)
-    i, j = window_indices(s.n, split)
-    if j - i < 1:
-        raise ValueError(
-            f"empty window for split ({split.a}, {split.b}) at n={s.n}; "
-            f"need n >= {_min_n_for(split, 1)}")
-    return float(s.sorted_view[i:j].mean())
+    """Windowed mean of one sample; see `window_mean`."""
+    return float(window_mean(_as_sample(s).sorted_view, split))
 
 
 def sample_qcv(s, split: QuantileSplit) -> float:
-    """Windowed variance with divisor equal to the window size."""
-    s = _as_sample(s)
-    i, j = window_indices(s.n, split)
-    if j - i < 2:
-        raise ValueError(
-            f"window of size {j - i} too small for a variance at n={s.n}; "
-            f"need n >= {_min_n_for(split, 2)}")
-    w = s.sorted_view[i:j]
-    return float(w.var())
+    """Windowed variance of one sample; see `window_var`."""
+    return float(window_var(_as_sample(s).sorted_view, split))

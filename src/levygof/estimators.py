@@ -2,7 +2,9 @@
 
 Four routes: windowed conditional mean (QCM), windowed conditional variance
 (QCV, location invariant), maximum likelihood (reciprocal mean of inverses),
-and the covariance of the inverse and log-inverse series (COV).
+and the covariance of the inverse and log-inverse series (COV). `mle` and
+`cov` work row-wise along the last axis; the `estimate_*` entry points check
+one sample and call them or the window kernels of `condmoments`.
 """
 from __future__ import annotations
 
@@ -10,16 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condmoments import QuantileSplit, Sample, sample_qcm, sample_qcv, theoretical_qcm, theoretical_qcv
+from .condmoments import (QuantileSplit, _as_sample, sample_qcm, sample_qcv,
+                          theoretical_qcm, theoretical_qcv)
 
 __all__ = [
     "EstimationError",
     "ScaleEstimate",
-    "TransformedSample",
     "estimate_qcm",
     "estimate_qcv",
     "estimate_mle",
     "estimate_cov",
+    "mle",
+    "cov",
     "QCM_SPLIT_DEFAULT",
     "QCV_SPLIT_DEFAULT",
 ]
@@ -43,27 +47,31 @@ class ScaleEstimate:
     split: QuantileSplit | None = None
 
 
-class TransformedSample:
-    """Inverse and log-inverse series of a strictly positive sample."""
-
-    def __init__(self, values):
-        s = values if isinstance(values, Sample) else Sample(values)
-        if np.any(s.values < _TINY):
-            raise EstimationError("all observations must be positive (and above 1e-300)")
-        self.inverse_values = 1.0 / s.values
-        self.log_inverse_values = np.log(self.inverse_values)
-        self.inverse_mean = float(self.inverse_values.mean())
-        self.log_inverse_mean = float(self.log_inverse_values.mean())
-        self.n = s.n
+def mle(x: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood scale along the last axis: reciprocal mean of the inverses."""
+    return 1.0 / (1.0 / x).mean(axis=-1)
 
 
-def _as_sample(values) -> Sample:
-    return values if isinstance(values, Sample) else Sample(values)
+def cov(x: np.ndarray) -> np.ndarray:
+    """COV scale along the last axis; NaN where the inverse/log-inverse
+    covariance is not positive."""
+    y = 1.0 / x
+    z = np.log(y)
+    w = y - y.mean(axis=-1, keepdims=True)
+    v = z - z.mean(axis=-1, keepdims=True)
+    denom = np.sum(w * v, axis=-1)
+    return 2.0 * x.shape[-1] / np.where(denom > 0.0, denom, np.nan)
+
+
+def _positive_values(s) -> np.ndarray:
+    x = _as_sample(s).values
+    if np.any(x < _TINY):
+        raise EstimationError("all observations must be positive (and above 1e-300)")
+    return x
 
 
 def estimate_qcm(s, split: QuantileSplit = QCM_SPLIT_DEFAULT) -> ScaleEstimate:
     """Windowed sample mean over the Lv(1) window constant."""
-    s = _as_sample(s)
     m = sample_qcm(s, split)
     if m <= 0.0:
         raise EstimationError("windowed mean is nonpositive; data cannot be Levy with c > 0")
@@ -72,7 +80,6 @@ def estimate_qcm(s, split: QuantileSplit = QCM_SPLIT_DEFAULT) -> ScaleEstimate:
 
 def estimate_qcv(s, split: QuantileSplit = QCV_SPLIT_DEFAULT) -> ScaleEstimate:
     """Square root of the windowed variance over the Lv(1) window constant."""
-    s = _as_sample(s)
     v = sample_qcv(s, split)
     if v <= 0.0:
         raise EstimationError("windowed variance is zero; degenerate sample")
@@ -80,17 +87,14 @@ def estimate_qcv(s, split: QuantileSplit = QCV_SPLIT_DEFAULT) -> ScaleEstimate:
 
 
 def estimate_mle(s) -> ScaleEstimate:
-    t = s if isinstance(s, TransformedSample) else TransformedSample(s)
-    return ScaleEstimate("MLE", 1.0 / t.inverse_mean)
+    return ScaleEstimate("MLE", float(mle(_positive_values(s))))
 
 
 def estimate_cov(s) -> ScaleEstimate:
-    t = s if isinstance(s, TransformedSample) else TransformedSample(s)
-    if t.n < 2:
+    x = _positive_values(s)
+    if x.size < 2:
         raise EstimationError("COV estimator needs n >= 2")
-    w = t.inverse_values - t.inverse_mean
-    z = t.log_inverse_values - t.log_inverse_mean
-    denom = float(np.sum(w * z))
-    if denom <= 0.0:
+    value = float(cov(x))
+    if np.isnan(value):
         raise EstimationError("nonpositive inverse/log-inverse covariance; data cannot be Levy")
-    return ScaleEstimate("COV", 2.0 * t.n / denom)
+    return ScaleEstimate("COV", value)

@@ -135,8 +135,7 @@ def _chunk_task(args):
 
 def _simulate(spec: StatisticSpec, n: int, plan: ReplicationPlan, sampler) -> np.ndarray:
     """Replicate-ordered statistic values; NaN marks failed replicates."""
-    if n < spec.min_n():
-        raise ValueError(f"statistic {spec.kind} needs n >= {spec.min_n()}")
+    spec.check_n(n)
     lo, hi = plan.stream_offset, plan.stream_offset + plan.replicates
     tasks = [(spec, n, plan.master_seed, s, min(s + CHUNK, hi), sampler)
              for s in range(lo, hi, CHUNK)]

@@ -16,12 +16,14 @@ failure policy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import QuantileSplit, Sample, theoretical_qcm, theoretical_qcv, window_indices
-from .estimators import EstimationError
+from .condmoments import (QuantileSplit, _as_sample, theoretical_qcm, theoretical_qcv,
+                          window_bound, window_indices, window_mean, window_var)
+from .estimators import EstimationError, cov, mle
 
 __all__ = [
     "StatisticSpec",
@@ -36,12 +38,83 @@ __all__ = [
     "evaluate_batch",
 ]
 
-STATISTIC_KINDS = ("vn", "on", "tn", "cn", "ran", "deltan")
-
-ON_SPLITS_DEFAULT = (QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95))
-TN_SPLIT_DEFAULT = QuantileSplit(0.02, 0.48)
-CN_SPLITS_DEFAULT = (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 0.95))
 RAN_TUNING_DEFAULT = 0.2
+
+
+# --- row-wise kernels -------------------------------------------------------
+# Every statistic is evaluated row-wise on a (B, n) matrix; the scalar path is
+# the one-row case. Row-local reductions make results independent of how the
+# batch is chunked. A kernel takes the spec, the rows, and the sorted rows
+# (None unless its table entry asks for them).
+
+def _vn(spec, x, xs):
+    return np.sqrt(x.shape[1]) * (cov(x) / mle(x) - 1.0)
+
+
+def _on(spec, x, xs):
+    s1, s2 = spec.splits
+    c1 = window_mean(xs, s1) / theoretical_qcm(s1, 1.0)
+    c2 = window_mean(xs, s2) / theoretical_qcm(s2, 1.0)
+    return np.sqrt(x.shape[1]) * (c1 / c2 - 1.0)
+
+
+def _tn(spec, x, xs):
+    (s1,) = spec.splits
+    cq = window_mean(xs, s1) / theoretical_qcm(s1, 1.0)
+    return np.sqrt(x.shape[1]) * ((cov(x) + cq) / (2.0 * mle(x)) - 1.0)
+
+
+def _cn(spec, x, xs):
+    s1, s2 = spec.splits
+    v1 = window_var(xs, s1) / theoretical_qcv(s1, 1.0)
+    v2 = window_var(xs, s2) / theoretical_qcv(s2, 1.0)
+    out = np.sqrt(x.shape[1]) * (np.sqrt(v1 / v2) - 1.0)
+    out[(v1 <= 0.0) | (v2 <= 0.0)] = np.nan
+    return out
+
+
+def _ran(spec, x, xs):
+    n = x.shape[1]
+    a = spec.tuning
+    s = x / mle(x)[:, None]
+    pair = (a + (s[:, :, None] + s[:, None, :]) / 4.0) ** -2.5
+    single = 0.5 * (a + s) ** -2.5
+    ker = pair - single[:, :, None] - single[:, None, :]
+    return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * ker.sum(axis=(1, 2))
+
+
+def _deltan(spec, x, xs):
+    n = x.shape[1]
+    c = mle(x)
+    mn = np.minimum(x[:, :, None], x[:, None, :])
+    k1 = mn / x[:, :, None]
+    k2 = mn / x[:, :, None] ** 2
+    idx = np.arange(n)
+    k1[:, idx, idx] = 0.0
+    k2[:, idx, idx] = 0.0
+    u1 = k1.sum(axis=(1, 2)) / (n * (n - 1))
+    u2 = k2.sum(axis=(1, 2)) / (n * (n - 1))
+    return 1.5 * u1 - 0.5 * c * u2 - 0.5
+
+
+class _Kernel(NamedTuple):
+    fn: Callable
+    sorted_rows: bool   # reads windows of the order statistics
+    positive: bool      # undefined on rows with a nonpositive value
+    window: int         # order statistics each window must hold (0: reads none)
+    splits: tuple = ()  # default windows
+
+
+_KERNELS = {
+    "vn": _Kernel(_vn, False, True, 0),
+    "on": _Kernel(_on, True, True, 1, (QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95))),
+    "tn": _Kernel(_tn, True, True, 1, (QuantileSplit(0.02, 0.48),)),
+    # location invariant, so nonpositive data are legitimate
+    "cn": _Kernel(_cn, True, False, 2, (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 0.95))),
+    "ran": _Kernel(_ran, False, True, 0),
+    "deltan": _Kernel(_deltan, False, True, 0),
+}
+STATISTIC_KINDS = tuple(_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -56,65 +129,25 @@ class StatisticSpec:
         if kind not in STATISTIC_KINDS:
             raise ValueError(f"unknown statistic kind: {self.kind!r}")
         if not self.splits:
-            defaults = {
-                "on": ON_SPLITS_DEFAULT,
-                "tn": (TN_SPLIT_DEFAULT,),
-                "cn": CN_SPLITS_DEFAULT,
-            }
-            object.__setattr__(self, "splits", defaults.get(kind, ()))
+            object.__setattr__(self, "splits", _KERNELS[kind].splits)
         if kind == "ran" and self.tuning <= 0.0:
             raise ValueError("ran tuning parameter must be > 0")
 
-    def label(self) -> str:
-        return self.kind
+    def check_n(self, n: int) -> None:
+        """Raise ValueError unless the statistic is defined at sample size n.
 
-    def min_n(self) -> int:
-        """Smallest sample size for which every window is usable."""
-        widths = {"on": 1, "tn": 1, "cn": 2}
-        need = widths.get(self.kind)
-        base = 2
-        if need is None:
-            return base
-        n = base
-        while True:
-            if all(j - i >= need for i, j in (window_indices(n, s) for s in self.splits)):
-                return n
-            n += 1
-
-
-# --- batched core -----------------------------------------------------------
-# All statistics are evaluated row-wise on a (B, n) matrix. Row-local
-# reductions make results independent of how the batch is chunked.
-
-def _mle_batch(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 / x).mean(axis=1)
-
-
-def _cov_batch(x: np.ndarray) -> np.ndarray:
-    n = x.shape[1]
-    y = 1.0 / x
-    z = np.log(y)
-    w = y - y.mean(axis=1, keepdims=True)
-    v = z - z.mean(axis=1, keepdims=True)
-    denom = np.sum(w * v, axis=1)
-    out = 2.0 * n / denom
-    out[denom <= 0.0] = np.nan
-    return out
-
-
-def _window_mean_batch(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
-    i, j = window_indices(xs.shape[1], split)
-    return xs[:, i:j].mean(axis=1)
-
-
-def _window_var_batch(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
-    i, j = window_indices(xs.shape[1], split)
-    return xs[:, i:j].var(axis=1)
-
-
-def _require_positive(x: np.ndarray) -> np.ndarray:
-    bad = (x <= 0.0).any(axis=1)
-    return bad
+        n >= 2, and every window holds enough order statistics at this n.
+        """
+        width = _KERNELS[self.kind].window
+        short = []
+        for s in self.splits:
+            i, j = window_indices(n, s)
+            if j - i < width:
+                short.append(f"; window ({s.a}, {s.b}) holds {j - i} order statistics, "
+                             f"fewer than {width}")
+        if n < 2 or short:
+            need = max([2] + [window_bound(s, width) for s in self.splits])
+            raise ValueError(f"statistic {self.kind} needs n >= {need}, got {n}" + "".join(short))
 
 
 def evaluate_batch(spec: StatisticSpec, x: np.ndarray) -> np.ndarray:
@@ -122,65 +155,19 @@ def evaluate_batch(spec: StatisticSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a (B, n) matrix")
-    b, n = x.shape
-    if n < spec.min_n():
-        raise ValueError(f"statistic {spec.kind} needs n >= {spec.min_n()}, got {n}")
-    sq = np.sqrt(n)
+    spec.check_n(x.shape[1])
+    kernel = _KERNELS[spec.kind]
     with np.errstate(all="ignore"):
-        if spec.kind == "cn":
-            s1, s2 = spec.splits
-            xs = np.sort(x, axis=1)
-            v1 = _window_var_batch(xs, s1) / theoretical_qcv(s1, 1.0)
-            v2 = _window_var_batch(xs, s2) / theoretical_qcv(s2, 1.0)
-            out = sq * (np.sqrt(v1 / v2) - 1.0)
-            out[(v1 <= 0.0) | (v2 <= 0.0)] = np.nan
-            return out
-
-        bad = _require_positive(x)
-        if spec.kind == "vn":
-            out = sq * (_cov_batch(x) / _mle_batch(x) - 1.0)
-        elif spec.kind == "on":
-            s1, s2 = spec.splits
-            xs = np.sort(x, axis=1)
-            c1 = _window_mean_batch(xs, s1) / theoretical_qcm(s1, 1.0)
-            c2 = _window_mean_batch(xs, s2) / theoretical_qcm(s2, 1.0)
-            out = sq * (c1 / c2 - 1.0)
-            out[(c1 <= 0.0) | (c2 <= 0.0)] = np.nan
-        elif spec.kind == "tn":
-            (s1,) = spec.splits
-            xs = np.sort(x, axis=1)
-            cq = _window_mean_batch(xs, s1) / theoretical_qcm(s1, 1.0)
-            out = sq * ((_cov_batch(x) + cq) / (2.0 * _mle_batch(x)) - 1.0)
-            out[cq <= 0.0] = np.nan
-        elif spec.kind == "ran":
-            a = spec.tuning
-            s = x / _mle_batch(x)[:, None]
-            pair = (a + (s[:, :, None] + s[:, None, :]) / 4.0) ** -2.5
-            single = 0.5 * (a + s) ** -2.5
-            ker = pair - single[:, :, None] - single[:, None, :]
-            out = 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * ker.sum(axis=(1, 2))
-        elif spec.kind == "deltan":
-            c = _mle_batch(x)
-            mn = np.minimum(x[:, :, None], x[:, None, :])
-            k1 = mn / x[:, :, None]
-            k2 = mn / x[:, :, None] ** 2
-            idx = np.arange(n)
-            k1[:, idx, idx] = 0.0
-            k2[:, idx, idx] = 0.0
-            u1 = k1.sum(axis=(1, 2)) / (n * (n - 1))
-            u2 = k2.sum(axis=(1, 2)) / (n * (n - 1))
-            out = 1.5 * u1 - 0.5 * c * u2 - 0.5
-        else:  # pragma: no cover
-            raise ValueError(spec.kind)
-        out[bad] = np.nan
-        out[~np.isfinite(out)] = np.nan
-        return out
+        out = kernel.fn(spec, x, np.sort(x, axis=1) if kernel.sorted_rows else None)
+    if kernel.positive:
+        out[(x <= 0.0).any(axis=1)] = np.nan
+    out[~np.isfinite(out)] = np.nan
+    return out
 
 
 def evaluate(spec: StatisticSpec, sample) -> float:
     """Scalar statistic; raises EstimationError on precondition failure."""
-    s = sample if isinstance(sample, Sample) else Sample(sample)
-    val = evaluate_batch(spec, s.values[None, :])[0]
+    val = evaluate_batch(spec, _as_sample(sample).values[None, :])[0]
     if not np.isfinite(val):
         raise EstimationError(
             f"statistic {spec.kind} undefined on this sample "

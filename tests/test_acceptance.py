@@ -10,10 +10,12 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levygof.condmoments import (QuantileSplit, qcmoment_quadrature_oracle,
-                                 theoretical_qcm, theoretical_second_moment,
-                                 window_indices)
+                                 theoretical_qcm, theoretical_qcv,
+                                 theoretical_second_moment, window_mean,
+                                 window_var)
 from levygof.datasets import fixture_analysis
 from levygof.distributions import AlternativeSpec, LevyParams, sample_levy
+from levygof.estimators import cov, mle
 from levygof.montecarlo import ReplicationPlan, p_value, power_study, simulate_null
 from levygof.statistics import StatisticSpec, evaluate, evaluate_batch
 from levygof.streams import RandomStream
@@ -125,19 +127,9 @@ def _estimator_matrix(n, replicates, c=2.0, qcm_split=QCM_BOXPLOT_SPLIT):
     for i in range(replicates):
         rows[i] = sample_levy(LevyParams(c=c), n, RandomStream(SEED + 1, i))
     xs = np.sort(rows, axis=1)
-    ia, ib = window_indices(n, qcm_split)
-    qcm = xs[:, ia:ib].mean(axis=1) / theoretical_qcm(qcm_split, 1.0)
-    ja, jb = window_indices(n, QCV_SPLIT)
-    m1 = theoretical_qcm(QCV_SPLIT, 1.0)
-    var1 = theoretical_second_moment(QCV_SPLIT, 1.0) - m1 * m1
-    qcv = np.sqrt(xs[:, ja:jb].var(axis=1) / var1)
-    w = 1.0 / rows
-    mle = 1.0 / w.mean(axis=1)
-    z = np.log(w)
-    denom = np.sum((w - w.mean(axis=1, keepdims=True))
-                   * (z - z.mean(axis=1, keepdims=True)), axis=1)
-    cov = 2.0 * n / denom
-    return np.column_stack([qcm, qcv, mle, cov])
+    qcm = window_mean(xs, qcm_split) / theoretical_qcm(qcm_split, 1.0)
+    qcv = np.sqrt(window_var(xs, QCV_SPLIT) / theoretical_qcv(QCV_SPLIT, 1.0))
+    return np.column_stack([qcm, qcv, mle(rows), cov(rows)])
 
 
 @pytest.mark.slow

@@ -79,6 +79,14 @@ class TestEstimate:
         code, _, _ = run(capsys, "estimate", "--method", "mle")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_nonfinite_line_is_data_error(self, tmp_path, capsys, token):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"1.0\n2.0\n{token}\n")
+        code, _, err = run(capsys, "estimate", "--method", "mle", "--input", str(f))
+        assert code == EXIT_DATA
+        assert ":3:" in err
+
     def test_csv_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,1.5\nb,2.5\n")
@@ -177,3 +185,23 @@ class TestOtherCommands:
 
     def test_usage_exit_code(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("calibrate", "--stat", "vn", "--n", "20", "--replicates", "100", "--workers", "0"),
+        ("calibrate", "--stat", "vn", "--n", "20", "--replicates", "0"),
+        ("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
+    ], ids=["workers-0", "replicates-0", "unknown-alt"])
+    def test_bad_settings_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+
+    def test_infeasible_window_is_one_error_line(self, capsys):
+        # Feasible at n = 5, but the second window is empty at n = 7.
+        code, out, err = run(capsys, "calibrate", "--stat", "on", "--split", "0,0.3",
+                             "--split2", "0.3,0.4", "--n", "7", "--replicates", "100")
+        assert code == EXIT_ESTIMATION
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "window (0.3, 0.4)" in lines[0]

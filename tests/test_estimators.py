@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levygof.condmoments import QuantileSplit
+from levygof.condmoments import (QuantileSplit, theoretical_qcm, theoretical_qcv,
+                                 window_mean, window_var)
 from levygof.distributions import LevyParams, sample_levy
-from levygof.estimators import (EstimationError, TransformedSample,
-                                estimate_cov, estimate_mle, estimate_qcm,
-                                estimate_qcv)
+from levygof.estimators import (QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
+                                EstimationError, cov, estimate_cov,
+                                estimate_mle, estimate_qcm, estimate_qcv, mle)
 from levygof.streams import RandomStream
 
 
@@ -60,8 +61,9 @@ class TestEdgeCases:
                 est([1.0, -2.0, 3.0])
 
     def test_tiny_values_rejected(self):
-        with pytest.raises(EstimationError):
-            TransformedSample([1.0, 1e-310])
+        for est in (estimate_mle, estimate_cov):
+            with pytest.raises(EstimationError):
+                est([1.0, 1e-310])
 
     def test_qcv_degenerate(self):
         with pytest.raises(EstimationError):
@@ -79,3 +81,36 @@ class TestEdgeCases:
         s = QuantileSplit(0.1, 0.6)
         assert estimate_qcm(SAMPLE, s).split == s
         assert estimate_mle(SAMPLE).split is None
+
+
+class TestRowKernels:
+    """The scalar path is the one-row case of the row-wise kernels, exactly."""
+
+    ROWS = np.vstack([sample_levy(LevyParams(c=1.5), 37, RandomStream(41, i))
+                      for i in range(8)])
+
+    def test_rows_equal_one_dimensional_calls(self):
+        xs = np.sort(self.ROWS, axis=1)
+        split = QuantileSplit(0.1, 0.65)
+        for kernel, data in ((mle, self.ROWS), (cov, self.ROWS),
+                             (lambda v: window_mean(v, split), xs),
+                             (lambda v: window_var(v, split), xs)):
+            batch = kernel(data)
+            assert batch.shape == (data.shape[0],)
+            for i, row in enumerate(data):
+                assert batch[i] == kernel(row)
+
+    def test_estimates_equal_one_row_kernels(self):
+        for row in self.ROWS:
+            xs = np.sort(row)[None, :]
+            assert estimate_mle(row).value == mle(row[None, :])[0]
+            assert estimate_cov(row).value == cov(row[None, :])[0]
+            assert estimate_qcm(row).value == (window_mean(xs, QCM_SPLIT_DEFAULT)[0]
+                                               / theoretical_qcm(QCM_SPLIT_DEFAULT, 1.0))
+            assert estimate_qcv(row).value == np.sqrt(window_var(xs, QCV_SPLIT_DEFAULT)[0]
+                                                      / theoretical_qcv(QCV_SPLIT_DEFAULT, 1.0))
+
+    def test_cov_nan_where_covariance_not_positive(self):
+        rows = np.vstack([self.ROWS[0], np.full(37, 2.0)])
+        out = cov(rows)
+        assert np.isfinite(out[0]) and np.isnan(out[1])

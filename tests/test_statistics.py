@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levygof.condmoments import QuantileSplit
+from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
 from levygof.estimators import EstimationError
 from levygof.statistics import (StatisticSpec, evaluate, evaluate_batch,
@@ -33,6 +35,45 @@ class TestSpec:
     def test_min_n_enforced(self):
         with pytest.raises(ValueError, match="needs n >="):
             evaluate(StatisticSpec("on"), [1.0, 2.0, 3.0])
+
+
+# Windows at least 0.02 wide, so that n up to 150 reaches the bound.
+SPLITS = st.tuples(st.floats(min_value=0.0, max_value=0.97),
+                   st.floats(min_value=0.02, max_value=1.0)).map(
+    lambda t: QuantileSplit(t[0], min(1.0, t[0] + t[1])))
+
+
+class TestFeasibility:
+    # floor(nb) - floor(na) is not monotone in n: this spec is feasible at
+    # n = 5 but its second window is empty at n = 7.
+    SPEC = StatisticSpec("on", (QuantileSplit(0.0, 0.3), QuantileSplit(0.3, 0.4)))
+
+    def test_checked_at_the_actual_n(self):
+        assert np.isfinite(evaluate(self.SPEC, [1.0, 2.0, 3.0, 4.0, 5.0]))
+        with pytest.raises(ValueError, match=r"needs n >= 10, got 7; window \(0.3, 0.4\)"):
+            evaluate(self.SPEC, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+
+    def test_default_on_at_n6(self):
+        StatisticSpec("on").check_n(6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["on", "cn"]),
+           splits=st.lists(SPLITS, min_size=2, max_size=2),
+           n=st.integers(min_value=1, max_value=150))
+    def test_accepts_exactly_the_feasible_n(self, kind, splits, n):
+        spec = StatisticSpec(kind, tuple(splits))
+        width = 2 if kind == "cn" else 1
+        sizes = [j - i for i, j in (window_indices(n, s) for s in spec.splits)]
+        feasible = n >= 2 and min(sizes) >= width
+        try:
+            spec.check_n(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == feasible
+        bound = max(math.ceil(width / (s.b - s.a)) for s in spec.splits)
+        for m in range(max(bound, 2), max(bound, 2) + 5):
+            spec.check_n(m)
 
 
 class TestInvariance:
