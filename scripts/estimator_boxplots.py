@@ -10,10 +10,10 @@ import json
 
 import numpy as np
 
-from levygof.condmoments import QuantileSplit
+from levygof.condmoments import (QuantileSplit, theoretical_qcm, theoretical_qcv,
+                                 window_mean, window_var)
 from levygof.distributions import LevyParams, sample_levy
-from levygof.estimators import (estimate_cov, estimate_mle, estimate_qcm,
-                                estimate_qcv)
+from levygof.estimators import cov, mle
 from levygof.streams import RandomStream
 
 # Windows used for the estimator comparison study.
@@ -29,18 +29,16 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    methods = {
-        "QCM": lambda x: estimate_qcm(x, QCM_SPLIT).value,
-        "QCV": lambda x: estimate_qcv(x, QCV_SPLIT).value,
-        "MLE": lambda x: estimate_mle(x).value,
-        "COV": lambda x: estimate_cov(x).value,
-    }
     for n in (int(v) for v in args.n_grid.split(",")):
-        values = {name: np.empty(args.replicates) for name in methods}
-        for i in range(args.replicates):
-            x = sample_levy(LevyParams(c=args.c), n, RandomStream(args.seed, i))
-            for name, fn in methods.items():
-                values[name][i] = fn(x)
+        x = np.vstack([sample_levy(LevyParams(c=args.c), n, RandomStream(args.seed, i))
+                       for i in range(args.replicates)])
+        xs = np.sort(x, axis=1)
+        values = {
+            "QCM": window_mean(xs, QCM_SPLIT) / theoretical_qcm(QCM_SPLIT, 1.0),
+            "QCV": np.sqrt(window_var(xs, QCV_SPLIT) / theoretical_qcv(QCV_SPLIT, 1.0)),
+            "MLE": mle(x),
+            "COV": cov(x),
+        }
         for name, v in values.items():
             q1, med, q3 = np.percentile(v, [25, 50, 75])
             print(json.dumps({

@@ -58,14 +58,14 @@ def _parse_split(text: str) -> QuantileSplit:
         raise UsageError(f"bad --split value {text!r}: {e}")
 
 
-def _parse_alt(text: str) -> AlternativeSpec:
+def _parse_alt(text: str, flag: str = "--alt") -> AlternativeSpec:
     """family:p1,p2 or family (no parameters)."""
     fam, _, ptext = text.partition(":")
     try:
         params = tuple(float(v) for v in ptext.split(",")) if ptext else ()
         return AlternativeSpec(fam, params)
     except ValueError as e:
-        raise UsageError(f"bad --alt value {text!r}: {e}")
+        raise UsageError(f"bad {flag} value {text!r}: {e}")
 
 
 def _plan(args, stream_offset: int = 0) -> ReplicationPlan:
@@ -159,12 +159,17 @@ class Emitter:
 
 
 def _stat_spec(args) -> StatisticSpec:
+    if args.stat is None:
+        raise UsageError("provide --stat KIND")
     splits = []
     if getattr(args, "split", None):
         splits.append(_parse_split(args.split))
     if getattr(args, "split2", None):
         splits.append(_parse_split(args.split2))
-    return StatisticSpec(args.stat, tuple(splits))
+    try:
+        return StatisticSpec(args.stat, tuple(splits))
+    except ValueError as e:
+        raise UsageError(f"bad --split/--split2 for --stat {args.stat}: {e}")
 
 
 def cmd_sample(args, emit: Emitter) -> int:
@@ -176,7 +181,7 @@ def cmd_sample(args, emit: Emitter) -> int:
     else:
         if args.params is None:
             raise UsageError(f"--dist {args.dist} requires --params")
-        spec = AlternativeSpec(args.dist, tuple(float(v) for v in args.params.split(",")))
+        spec = _parse_alt(f"{args.dist}:{args.params}", "--dist/--params")
         draws = sample_alternative(spec, args.n, stream)
     out = open(args.out, "w") if args.out else sys.stdout
     try:

@@ -7,8 +7,10 @@ Six scale-ratio / characterization statistics:
 * ``tn``  — ensemble of COV and QCM scale estimates against MLE.
 * ``cn``  — ratio of two windowed-conditional-variance scale estimates
             (scale AND location invariant).
-* ``ran`` — sum-stability kernel statistic on the MLE-scaled sample.
-* ``deltan`` — pairwise-minimum characterization statistic.
+* ``ran`` — sum-stability kernel statistic on the MLE-scaled sample; O(n^2)
+            time per row, summed in blocks under a fixed memory budget.
+* ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
+            row from prefix sums of the sorted row.
 
 Scalar entry points raise on precondition violations; the ``evaluate_batch``
 path marks failed replicates as NaN so Monte Carlo callers can apply their own
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 RAN_TUNING_DEFAULT = 0.2
+
+# Elements in one temporary of the blocked `ran` pair sum (512 KiB of float64).
+_PAIR_BUDGET = 2**16
 
 
 # --- row-wise kernels -------------------------------------------------------
@@ -74,27 +79,41 @@ def _cn(spec, x, xs):
 
 
 def _ran(spec, x, xs):
-    n = x.shape[1]
+    # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j).
+    # A block of rows i0 <= i < i0 + h meets the columns j >= i0 only: its
+    # square part counts once, the part right of it twice, by symmetry. The
+    # block height depends on n alone, so each row is summed in the same
+    # order whatever the batch; it leaves room for at least 16 rows in one
+    # temporary of _PAIR_BUDGET elements.
+    b, n = x.shape
     a = spec.tuning
     s = x / mle(x)[:, None]
-    pair = (a + (s[:, :, None] + s[:, None, :]) / 4.0) ** -2.5
-    single = 0.5 * (a + s) ** -2.5
-    ker = pair - single[:, :, None] - single[:, None, :]
-    return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * ker.sum(axis=(1, 2))
+    q = a / 2.0 + s / 4.0
+    height = max(1, min(n, _PAIR_BUDGET // (16 * n)))
+    group = max(1, _PAIR_BUDGET // (height * n))
+    by_i = np.empty_like(q)
+    for r0 in range(0, b, group):
+        qr = q[r0:r0 + group]
+        for i0 in range(0, n, height):
+            h = min(height, n - i0)
+            t = (qr[:, i0:i0 + h, None] + qr[:, None, i0:]) ** -2.5
+            by_i[r0:r0 + group, i0:i0 + h] = (t[:, :, :h].sum(axis=2)
+                                              + 2.0 * t[:, :, h:].sum(axis=2))
+    # The single-point terms -single_i - single_j summed over all pairs.
+    single = n * ((a + s) ** -2.5).sum(axis=1)
+    return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * (by_i.sum(axis=1) - single)
 
 
 def _deltan(spec, x, xs):
+    # For x_i = x_(r): sum_{j != i} min(x_i, x_j) = sum_{k<r} x_(k) + (n-1-r) x_(r).
     n = x.shape[1]
-    c = mle(x)
-    mn = np.minimum(x[:, :, None], x[:, None, :])
-    k1 = mn / x[:, :, None]
-    k2 = mn / x[:, :, None] ** 2
-    idx = np.arange(n)
-    k1[:, idx, idx] = 0.0
-    k2[:, idx, idx] = 0.0
-    u1 = k1.sum(axis=(1, 2)) / (n * (n - 1))
-    u2 = k2.sum(axis=(1, 2)) / (n * (n - 1))
-    return 1.5 * u1 - 0.5 * c * u2 - 0.5
+    m = np.zeros_like(xs)
+    np.cumsum(xs[:, :-1], axis=1, out=m[:, 1:])
+    m += (n - 1 - np.arange(n)) * xs
+    k1 = m / xs
+    u1 = k1.sum(axis=1) / (n * (n - 1))
+    u2 = (k1 / xs).sum(axis=1) / (n * (n - 1))
+    return 1.5 * u1 - 0.5 * mle(x) * u2 - 0.5
 
 
 class _Kernel(NamedTuple):
@@ -112,7 +131,7 @@ _KERNELS = {
     # location invariant, so nonpositive data are legitimate
     "cn": _Kernel(_cn, True, False, 2, (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 0.95))),
     "ran": _Kernel(_ran, False, True, 0),
-    "deltan": _Kernel(_deltan, False, True, 0),
+    "deltan": _Kernel(_deltan, True, True, 0),
 }
 STATISTIC_KINDS = tuple(_KERNELS)
 
@@ -128,8 +147,12 @@ class StatisticSpec:
         object.__setattr__(self, "kind", kind)
         if kind not in STATISTIC_KINDS:
             raise ValueError(f"unknown statistic kind: {self.kind!r}")
+        default = _KERNELS[kind].splits
         if not self.splits:
-            object.__setattr__(self, "splits", _KERNELS[kind].splits)
+            object.__setattr__(self, "splits", default)
+        elif len(self.splits) != len(default):
+            raise ValueError(f"statistic {kind} takes {len(default)} window(s), "
+                             f"got {len(self.splits)}")
         if kind == "ran" and self.tuning <= 0.0:
             raise ValueError("ran tuning parameter must be > 0")
 

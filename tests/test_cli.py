@@ -186,15 +186,27 @@ class TestOtherCommands:
     def test_usage_exit_code(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ("calibrate", "--stat", "vn", "--n", "20", "--replicates", "100", "--workers", "0"),
-        ("calibrate", "--stat", "vn", "--n", "20", "--replicates", "0"),
-        ("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
-    ], ids=["workers-0", "replicates-0", "unknown-alt"])
-    def test_bad_settings_are_usage_errors(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+    @pytest.mark.parametrize("argv, needle", [
+        (("calibrate", "--stat", "vn", "--n", "20", "--replicates", "100", "--workers", "0"),
+         "--workers"),
+        (("calibrate", "--stat", "vn", "--n", "20", "--replicates", "0"), "--replicates"),
+        (("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
+         "--alt"),
+        (("sample", "--dist", "gamma", "--params", "x,1", "--n", "5"), "--params"),
+        (("calibrate", "--stat", "on", "--split", "0,0.3", "--n", "20", "--replicates", "100"),
+         "takes 2 window(s), got 1"),
+        (("calibrate", "--stat", "vn", "--split", "0.5,0.51", "--n", "20",
+          "--replicates", "100"), "takes 0 window(s), got 1"),
+        (("calibrate", "--n", "20", "--replicates", "100"), "--stat"),
+    ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
+            "vn-with-window", "no-stat"])
+    def test_bad_settings_are_usage_errors(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
-        assert err.startswith("error:")
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert needle in lines[0]
 
     def test_infeasible_window_is_one_error_line(self, capsys):
         # Feasible at n = 5, but the second window is empty at n = 7.

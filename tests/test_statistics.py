@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
-from levygof.estimators import EstimationError
+from levygof.estimators import EstimationError, mle
 from levygof.statistics import (StatisticSpec, evaluate, evaluate_batch,
                                 stat_cn, stat_deltan, stat_on, stat_ran,
                                 stat_tn, stat_vn)
@@ -31,6 +32,12 @@ class TestSpec:
     def test_bad_tuning(self):
         with pytest.raises(ValueError):
             StatisticSpec("ran", tuning=0.0)
+
+    def test_window_count(self):
+        with pytest.raises(ValueError, match="takes 2 window"):
+            StatisticSpec("on", (QuantileSplit(0.0, 0.3),))
+        with pytest.raises(ValueError, match="takes 0 window"):
+            StatisticSpec("vn", (QuantileSplit(0.5, 0.51),))
 
     def test_min_n_enforced(self):
         with pytest.raises(ValueError, match="needs n >="):
@@ -95,13 +102,18 @@ class TestInvariance:
 
 
 class TestScalarVsBatch:
+    # Row k of a batch equals the one-row evaluation bit for bit, so Monte
+    # Carlo results do not depend on chunking. At n = 250 the ran pair sum
+    # runs in several row blocks and row groups.
     def test_batch_agrees_with_scalar(self):
-        rows = np.vstack([sample_levy(LevyParams(), 40, RandomStream(5, i)) for i in range(6)])
-        for kind in ("vn", "on", "tn", "cn", "ran", "deltan"):
-            spec = StatisticSpec(kind)
-            batch = evaluate_batch(spec, rows)
-            for i in range(rows.shape[0]):
-                assert batch[i] == pytest.approx(evaluate(spec, rows[i]), rel=1e-12)
+        for n in (40, 250):
+            rows = np.vstack([sample_levy(LevyParams(), n, RandomStream(5, i))
+                              for i in range(40)])
+            for kind in ("vn", "on", "tn", "cn", "ran", "deltan"):
+                spec = StatisticSpec(kind)
+                batch = evaluate_batch(spec, rows)
+                for i in range(rows.shape[0]):
+                    assert batch[i] == evaluate(spec, rows[i])
 
     def test_batch_marks_bad_rows_nan(self):
         rows = np.vstack([SAMPLE[:40], SAMPLE[:40]])
@@ -135,3 +147,83 @@ class TestNullBehaviour:
     def test_constant_sample_fails_cn(self):
         with pytest.raises(EstimationError):
             stat_cn([1.0] * 30)
+
+
+# Dense O(B n^2) forms of the ran and deltan kernels: reference oracles for
+# the blocked and sorted-prefix-sum kernels of levygof.statistics.
+
+def _ran_dense(x, a):
+    n = x.shape[1]
+    s = x / mle(x)[:, None]
+    pair = (a + (s[:, :, None] + s[:, None, :]) / 4.0) ** -2.5
+    single = 0.5 * (a + s) ** -2.5
+    ker = pair - single[:, :, None] - single[:, None, :]
+    return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * ker.sum(axis=(1, 2))
+
+
+def _deltan_dense(x):
+    n = x.shape[1]
+    c = mle(x)
+    mn = np.minimum(x[:, :, None], x[:, None, :])
+    k1 = mn / x[:, :, None]
+    k2 = mn / x[:, :, None] ** 2
+    idx = np.arange(n)
+    k1[:, idx, idx] = 0.0
+    k2[:, idx, idx] = 0.0
+    u1 = k1.sum(axis=(1, 2)) / (n * (n - 1))
+    u2 = k2.sum(axis=(1, 2)) / (n * (n - 1))
+    return 1.5 * u1 - 0.5 * c * u2 - 0.5
+
+
+def _dense(spec, x):
+    """The oracle under evaluate_batch's failure policy."""
+    with np.errstate(all="ignore"):
+        out = _ran_dense(x, spec.tuning) if spec.kind == "ran" else _deltan_dense(x)
+    out[(x <= 0.0).any(axis=1) | ~np.isfinite(out)] = np.nan
+    return out
+
+
+@st.composite
+def _rows(draw):
+    b = draw(st.integers(min_value=1, max_value=20))
+    n = draw(st.integers(min_value=2, max_value=80))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    family = draw(st.sampled_from(["levy", "ties", "decades"]))
+    if family == "levy":
+        x = 1.0 / rng.standard_normal((b, n)) ** 2
+    elif family == "ties":
+        x = rng.integers(1, 4, size=(b, n)).astype(float)
+    else:
+        x = 10.0 ** rng.uniform(-100.0, 100.0, size=(b, n))
+    if draw(st.booleans()):
+        x[rng.integers(b), rng.integers(n)] = draw(st.sampled_from([0.0, -1.0, -1e-3]))
+    return x
+
+
+class TestPairKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(x=_rows(), kind=st.sampled_from(["ran", "deltan"]),
+           tuning=st.sampled_from([0.2, 0.05, 3.0]))
+    def test_matches_dense_oracle(self, x, kind, tuning):
+        spec = StatisticSpec(kind, tuning=tuning)
+        fast, dense = evaluate_batch(spec, x), _dense(spec, x)
+        bad = (x <= 0.0).any(axis=1)
+        assert np.isnan(fast[bad]).all() and np.isnan(dense[bad]).all()
+        np.testing.assert_array_equal(np.isnan(fast), np.isnan(dense))
+        ok = ~np.isnan(dense)
+        assert (np.abs(fast[ok] - dense[ok]) <= 1e-12 * (1.0 + np.abs(dense[ok]))).all()
+        for k in range(x.shape[0]):
+            assert np.array_equal(fast[k:k + 1], evaluate_batch(spec, x[k:k + 1]), equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["ran", "deltan"])
+    def test_memory_bounded(self, kind):
+        # The dense forms held (B, n, n) arrays: ~1.5 GB for this matrix.
+        rows = np.vstack([sample_levy(LevyParams(), 1000, RandomStream(9, i)) for i in range(64)])
+        tracemalloc.start()
+        try:
+            out = evaluate_batch(StatisticSpec(kind), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out).all()
+        assert peak <= 32 * 2**20
