@@ -14,7 +14,7 @@ import json
 import sys
 
 from levygof.distributions import AlternativeSpec
-from levygof.montecarlo import ReplicationPlan, power_study
+from levygof.montecarlo import ReplicationPlan, power_study, simulate_null
 from levygof.statistics import StatisticSpec
 
 DEFAULT_ALTERNATIVES = [
@@ -43,18 +43,18 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    b = args.replicates
+    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+    n_grid = [int(v) for v in args.n_grid.split(",")]
     for kind in args.stats.split(","):
         spec = StatisticSpec(kind.strip())
+        # One null per n serves all alternatives (see power_study).
+        nulls = [simulate_null(spec, n, plan) for n in n_grid]
         for fam, params in DEFAULT_ALTERNATIVES:
             alt = AlternativeSpec(fam, params)
-            for n in (int(v) for v in args.n_grid.split(",")):
-                cell = power_study(
-                    spec, alt, n, args.level,
-                    ReplicationPlan(args.seed, b, args.workers),
-                    ReplicationPlan(args.seed, b, args.workers, stream_offset=b))
+            for null in nulls:
+                cell = power_study(null, alt, args.level)
                 print(json.dumps({
-                    "stat": cell.kind, "alt": alt.label(), "n": n,
+                    "stat": cell.kind, "alt": alt.label(), "n": cell.n,
                     "level": args.level, "power": cell.power,
                     "std_error": cell.std_error,
                     "failed_replicates": cell.failed_replicates,

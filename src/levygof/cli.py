@@ -17,7 +17,8 @@ from .condmoments import QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
 from .distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec, LevyParams,
                             levy_cdf, sample_alternative, sample_levy)
-from .estimators import estimate_cov, estimate_mle, estimate_qcm, estimate_qcv
+from .estimators import (EstimationError, estimate_cov, estimate_mle, estimate_qcm,
+                         estimate_qcv)
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic,
                          p_value, power_study, run_test, simulate_null)
 from .statistics import STATISTIC_KINDS, StatisticSpec, evaluate
@@ -41,12 +42,14 @@ class UsageError(Exception):
     pass
 
 
-# Checked in order; ValueError (EstimationError among them) comes last.
+# Checked in order. A failed precondition of the data or the statistic is an
+# EstimationError; any other ValueError comes from a bad argument value.
 ERROR_EXIT_CODES = {
     UsageError: EXIT_USAGE,
     DataError: EXIT_DATA,
     OSError: EXIT_DATA,
-    ValueError: EXIT_ESTIMATION,
+    EstimationError: EXIT_ESTIMATION,
+    ValueError: EXIT_USAGE,
 }
 
 
@@ -68,9 +71,9 @@ def _parse_alt(text: str, flag: str = "--alt") -> AlternativeSpec:
         raise UsageError(f"bad {flag} value {text!r}: {e}")
 
 
-def _plan(args, stream_offset: int = 0) -> ReplicationPlan:
+def _plan(args) -> ReplicationPlan:
     try:
-        return ReplicationPlan(args.seed, args.replicates, args.workers, stream_offset)
+        return ReplicationPlan(args.seed, args.replicates, args.workers)
     except ValueError as e:
         raise UsageError(f"bad --seed, --replicates or --workers: {e}")
 
@@ -109,7 +112,7 @@ def _load_data(args) -> np.ndarray:
         return fixture_analysis(args.fixture)
     if args.input is None:
         raise UsageError("provide --input FILE or --fixture NAME")
-    return read_observations(args.input, getattr(args, "column", None))
+    return read_observations(args.input, args.column)
 
 
 def _jsonable(v):
@@ -161,11 +164,7 @@ class Emitter:
 def _stat_spec(args) -> StatisticSpec:
     if args.stat is None:
         raise UsageError("provide --stat KIND")
-    splits = []
-    if getattr(args, "split", None):
-        splits.append(_parse_split(args.split))
-    if getattr(args, "split2", None):
-        splits.append(_parse_split(args.split2))
+    splits = [_parse_split(text) for text in (args.split, args.split2) if text]
     try:
         return StatisticSpec(args.stat, tuple(splits))
     except ValueError as e:
@@ -183,13 +182,8 @@ def cmd_sample(args, emit: Emitter) -> int:
             raise UsageError(f"--dist {args.dist} requires --params")
         spec = _parse_alt(f"{args.dist}:{args.params}", "--dist/--params")
         draws = sample_alternative(spec, args.n, stream)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for v in draws:
-            print(format(v, ".17g"), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    for v in draws:
+        print(format(v, ".17g"), file=emit.out)
     return EXIT_OK
 
 
@@ -197,15 +191,14 @@ def cmd_estimate(args, emit: Emitter) -> int:
     data = _load_data(args)
     method = args.method.lower()
     if method in ("qcm", "qcv"):
-        split = _parse_split(args.split) if args.split else None
         est = (estimate_qcm if method == "qcm" else estimate_qcv)(
-            data, *( [split] if split else [] ))
-    elif method == "mle":
-        est = estimate_mle(data)
-    elif method == "cov":
-        est = estimate_cov(data)
-    else:
+            data, *([_parse_split(args.split)] if args.split else []))
+    elif method not in ("mle", "cov"):
         raise UsageError(f"unknown method {args.method!r}")
+    elif args.split:
+        raise UsageError(f"--split does not apply to --method {args.method}")
+    else:
+        est = (estimate_mle if method == "mle" else estimate_cov)(data)
     rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}
     if est.split is not None:
         rec["split"] = [est.split.a, est.split.b]
@@ -216,20 +209,19 @@ def cmd_estimate(args, emit: Emitter) -> int:
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
     if args.all:
-        kinds = ALL_TEST_KINDS
+        specs = [StatisticSpec(kind) for kind in ALL_TEST_KINDS]
     elif args.stat:
-        kinds = (args.stat.lower(),)
+        specs = [_stat_spec(args)]
     else:
         raise UsageError("provide --stat KIND or --all")
+    plan = _plan(args)
     failures = 0
-    for kind in kinds:
-        spec = StatisticSpec(kind) if args.all else _stat_spec(args)
-        plan = _plan(args)
+    for spec in specs:
         try:
             rep = run_test(spec, data, args.level, plan)
-        except ValueError as e:
+        except EstimationError as e:
             failures += 1
-            emit.record({"stat": kind, "error": str(e)})
+            emit.record({"stat": spec.kind, "error": str(e)})
             continue
         bound = 1.0 / (plan.replicates + 1)
         rec = {
@@ -245,11 +237,11 @@ def cmd_test(args, emit: Emitter) -> int:
             "seed": rep.seed,
         }
         emit.record(rec)
-    return EXIT_ESTIMATION if failures == len(kinds) else EXIT_OK
+    return EXIT_ESTIMATION if failures == len(specs) else EXIT_OK
 
 
 def _n_values(args) -> list[int]:
-    if getattr(args, "n_grid", None):
+    if args.n_grid:
         return [int(v) for v in args.n_grid.split(",")]
     if args.n is None:
         raise UsageError("provide --n or --n-grid")
@@ -258,8 +250,8 @@ def _n_values(args) -> list[int]:
 
 def cmd_calibrate(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
+    plan = _plan(args)
     for n in _n_values(args):
-        plan = _plan(args)
         nd = simulate_null(spec, n, plan)
         lower, upper = calibrate(nd, args.level)
         emit.record({"stat": spec.kind, "n": n, "level": args.level,
@@ -271,9 +263,9 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 def cmd_power(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     alt = _parse_alt(args.alt)
+    plan = _plan(args)
     for n in _n_values(args):
-        cell = power_study(spec, alt, n, args.level, _plan(args),
-                           _plan(args, stream_offset=args.replicates))
+        cell = power_study(simulate_null(spec, n, plan), alt, args.level)
         emit.record({"stat": cell.kind, "alt": alt.label(), "n": cell.n,
                      "level": cell.level, "power": cell.power,
                      "std_error": cell.std_error, "replicates": cell.replicates,
@@ -306,17 +298,15 @@ def cmd_ppplot(args, emit: Emitter) -> int:
     return EXIT_OK
 
 
-def _add_io_flags(p, column=True):
+def _add_io_flags(p):
     p.add_argument("--input", help="data file, one number per line ('-' for stdin)")
     p.add_argument("--fixture", choices=sorted(FIXTURES), help="embedded dataset")
-    if column:
-        p.add_argument("--column", type=int, help="0-based CSV column to read")
+    p.add_argument("--column", type=int, help="0-based CSV column to read")
 
 
 def _add_mc_flags(p):
     p.add_argument("--replicates", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--workers", type=int, default=1, help="advisory worker count")
 
 
@@ -355,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run the full test battery")
     _add_io_flags(p)
     _add_mc_flags(p)
+    p.add_argument("--level", type=float, default=0.05)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("calibrate", help="simulated two-sided rejection thresholds")
@@ -362,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--n-grid", help="comma-separated sample sizes")
     _add_mc_flags(p)
+    p.add_argument("--level", type=float, default=0.05)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("power", help="empirical power against an alternative")
@@ -370,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--n-grid", help="comma-separated sample sizes")
     _add_mc_flags(p)
+    p.add_argument("--level", type=float, default=0.05)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("diagnose", help="normality diagnostics of a null law")
@@ -393,12 +386,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    for name in ("stat", "all", "fixture", "input", "split", "split2"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
-    # `sample` writes its draws to --out itself; every other command routes
-    # its records through the emitter.
-    out = open(args.out, "w") if args.out and args.command != "sample" else sys.stdout
+    out = open(args.out, "w") if args.out else sys.stdout
     emit = Emitter(out, args.table)
     try:
         code = args.func(args, emit)

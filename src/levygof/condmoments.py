@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf
 
 from .distributions import LevyParams, levy_pdf, levy_quantile
 from .special import inv_erf_one_minus
 
 __all__ = [
+    "EstimationError",
     "QuantileSplit",
     "Sample",
     "theoretical_qcm",
@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 _SQRT_PI = np.sqrt(np.pi)
+
+
+class EstimationError(ValueError):
+    """Data violate a precondition of an estimator or statistic (non-Levy-like
+    input, or too few order statistics in a window)."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,9 @@ class QuadratureError(RuntimeError):
 
 def qcmoment_quadrature_oracle(split: QuantileSplit, c: float = 1.0, order: int = 1) -> float:
     """E[X^order | window] by adaptive quadrature; independent of the closed forms."""
+    # Imported here: scipy.integrate is most of the package's import time.
+    from scipy.integrate import quad
+
     split.require_open_top()
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -153,7 +161,7 @@ def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
     n = xs.shape[-1]
     i, j = window_indices(n, split)
     if j - i < width:
-        raise ValueError(
+        raise EstimationError(
             f"window ({split.a}, {split.b}) holds {j - i} order statistics at n={n}, "
             f"fewer than {width}; need n >= {window_bound(split, width)}")
     return xs[..., i:j]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condmoments import (QuantileSplit, _as_sample, sample_qcm, sample_qcv,
-                          theoretical_qcm, theoretical_qcv)
+from .condmoments import (EstimationError, QuantileSplit, _as_sample, sample_qcm,
+                          sample_qcv, theoretical_qcm, theoretical_qcv)
 
 __all__ = [
     "EstimationError",
@@ -34,10 +34,6 @@ QCM_SPLIT_DEFAULT = QuantileSplit(0.02, 0.48)
 QCV_SPLIT_DEFAULT = QuantileSplit(0.0, 0.7)
 
 _TINY = 1e-300
-
-
-class EstimationError(ValueError):
-    """Data violate a precondition of the estimator (non-Levy-like input)."""
 
 
 @dataclass(frozen=True)

@@ -47,24 +47,24 @@ class MonteCarloError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReplicationPlan:
-    """Master seed + replicate count; `stream_offset` lets two studies under
-    the same seed (e.g. null calibration and an alternative run) draw from
-    disjoint stream-index ranges."""
+    """Master seed, replicate count B and advisory worker count.
+
+    Replicate i draws from stream (master_seed, i). A null simulation uses
+    streams 0 ... B-1; a power study on that null draws its alternative
+    samples from streams B ... 2B-1, so the two never share a stream.
+    """
 
     master_seed: int
     replicates: int
     worker_hint: int = 1
-    stream_offset: int = 0
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.worker_hint < 1:
             raise ValueError("worker_hint must be >= 1")
-        if self.stream_offset < 0:
-            raise ValueError("stream_offset must be >= 0")
         # Validate the seed eagerly through the stream type.
-        RandomStream(self.master_seed, self.stream_offset)
+        RandomStream(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -116,29 +116,26 @@ class DiagnosticReport:
     replicates: int
 
 
-def _draw_chunk(sampler, n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
+def _draw_chunk(draw, params, n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
     rows = np.empty((stop - start, n))
-    tag = sampler[0]
     for k, idx in enumerate(range(start, stop)):
-        stream = RandomStream(master_seed, idx)
-        if tag == "levy":
-            rows[k] = sample_levy(sampler[1], n, stream)
-        else:
-            rows[k] = sample_alternative(sampler[1], n, stream)
+        rows[k] = draw(params, n, RandomStream(master_seed, idx))
     return rows
 
 
 def _chunk_task(args):
-    spec, n, master_seed, start, stop, sampler = args
-    return evaluate_batch(spec, _draw_chunk(sampler, n, master_seed, start, stop))
+    spec, n, master_seed, start, stop, draw, params = args
+    return evaluate_batch(spec, _draw_chunk(draw, params, n, master_seed, start, stop))
 
 
-def _simulate(spec: StatisticSpec, n: int, plan: ReplicationPlan, sampler) -> np.ndarray:
-    """Replicate-ordered statistic values; NaN marks failed replicates."""
+def _simulate(spec: StatisticSpec, n: int, plan: ReplicationPlan, first: int,
+              draw, params) -> np.ndarray:
+    """Statistic values on `draw(params, n, stream)` samples from streams
+    first ... first + B - 1, in replicate order; NaN marks failed replicates."""
     spec.check_n(n)
-    lo, hi = plan.stream_offset, plan.stream_offset + plan.replicates
-    tasks = [(spec, n, plan.master_seed, s, min(s + CHUNK, hi), sampler)
-             for s in range(lo, hi, CHUNK)]
+    hi = first + plan.replicates
+    tasks = [(spec, n, plan.master_seed, s, min(s + CHUNK, hi), draw, params)
+             for s in range(first, hi, CHUNK)]
     if plan.worker_hint > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=plan.worker_hint) as pool:
             chunks = list(pool.map(_chunk_task, tasks))
@@ -155,7 +152,7 @@ def simulate_null(spec: StatisticSpec, n: int, plan: ReplicationPlan,
     A failed replicate under the null signals a bug or an infeasible window,
     so it aborts with the replicate index rather than being absorbed.
     """
-    vals = _simulate(spec, n, plan, ("levy", LevyParams(c=c)))
+    vals = _simulate(spec, n, plan, 0, sample_levy, LevyParams(c=c))
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise MonteCarloError(
@@ -164,10 +161,14 @@ def simulate_null(spec: StatisticSpec, n: int, plan: ReplicationPlan,
     return NullDistribution(spec, n, np.sort(vals), plan)
 
 
-def calibrate(nd: NullDistribution, level: float) -> tuple[float, float]:
-    """Equal-tail empirical (level/2, 1 - level/2) quantiles of the null draws."""
+def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+
+
+def calibrate(nd: NullDistribution, level: float) -> tuple[float, float]:
+    """Equal-tail empirical (level/2, 1 - level/2) quantiles of the null draws."""
+    _check_level(level)
     lower = float(np.quantile(nd.values, level / 2.0))
     upper = float(np.quantile(nd.values, 1.0 - level / 2.0))
     return lower, upper
@@ -189,6 +190,7 @@ def run_test(spec: StatisticSpec, sample, level: float, plan: ReplicationPlan) -
     """Evaluate the statistic on data and test it against its simulated null."""
     from .statistics import evaluate
 
+    _check_level(level)
     value = evaluate(spec, sample)
     s = np.asarray(sample, dtype=float).ravel()
     nd = simulate_null(spec, s.size, plan)
@@ -198,24 +200,27 @@ def run_test(spec: StatisticSpec, sample, level: float, plan: ReplicationPlan) -
                       lower, upper, plan.replicates, plan.master_seed)
 
 
-def power_study(spec: StatisticSpec, alt: AlternativeSpec, n: int, level: float,
-                plan_null: ReplicationPlan, plan_alt: ReplicationPlan) -> PowerCell:
-    """Rejection frequency under the alternative with simulated thresholds.
+def power_study(null: NullDistribution, alt: AlternativeSpec, level: float) -> PowerCell:
+    """Rejection frequency under the alternative with the null's thresholds.
+
+    The statistic, n, seed, B and worker count come from `null`. Its
+    replicates used streams 0 ... B-1 of the seed; the alternative's B samples
+    use streams B ... 2B-1, so one null serves every alternative.
 
     A replicate on which the statistic is undefined (e.g. a nonpositive COV
     denominator under a far alternative) counts as a rejection: such samples
     are maximally inconsistent with the null, and discarding them would bias
     the power estimate downward.
     """
-    nd = simulate_null(spec, n, plan_null)
-    lower, upper = calibrate(nd, level)
-    vals = _simulate(spec, n, plan_alt, ("alt", alt))
+    lower, upper = calibrate(null, level)
+    b = null.plan.replicates
+    vals = _simulate(null.spec, null.n, null.plan, b, sample_alternative, alt)
     failed = int(np.sum(~np.isfinite(vals)))
     with np.errstate(invalid="ignore"):
         reject = ~((vals >= lower) & (vals <= upper))  # NaN compares False -> reject
     power = float(np.mean(reject))
-    se = float(np.sqrt(power * (1.0 - power) / vals.size))
-    return PowerCell(spec.kind, alt, n, level, power, int(vals.size), se, failed)
+    se = float(np.sqrt(power * (1.0 - power) / b))
+    return PowerCell(null.spec.kind, alt, null.n, level, power, b, se, failed)
 
 
 def normality_diagnostic(spec: StatisticSpec, n: int, plan: ReplicationPlan,

@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import (QuantileSplit, _as_sample, theoretical_qcm, theoretical_qcv,
-                          window_bound, window_indices, window_mean, window_var)
-from .estimators import EstimationError, cov, mle
+from .condmoments import (EstimationError, QuantileSplit, _as_sample, theoretical_qcm,
+                          theoretical_qcv, window_bound, window_indices, window_mean, window_var)
+from .estimators import cov, mle
 
 __all__ = [
     "StatisticSpec",
@@ -157,7 +157,7 @@ class StatisticSpec:
             raise ValueError("ran tuning parameter must be > 0")
 
     def check_n(self, n: int) -> None:
-        """Raise ValueError unless the statistic is defined at sample size n.
+        """Raise EstimationError unless the statistic is defined at sample size n.
 
         n >= 2, and every window holds enough order statistics at this n.
         """
@@ -170,7 +170,8 @@ class StatisticSpec:
                              f"fewer than {width}")
         if n < 2 or short:
             need = max([2] + [window_bound(s, width) for s in self.splits])
-            raise ValueError(f"statistic {self.kind} needs n >= {need}, got {n}" + "".join(short))
+            raise EstimationError(f"statistic {self.kind} needs n >= {need}, got {n}"
+                                  + "".join(short))
 
 
 def evaluate_batch(spec: StatisticSpec, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,3 @@ class RandomStream:
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([int(self.master_seed), int(self.stream_index)]))
         )
-
-    def substream(self, index: int) -> "RandomStream":
-        """Stream for replicate `index` under the same master seed."""
-        return RandomStream(self.master_seed, index)

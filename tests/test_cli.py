@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,8 +201,25 @@ class TestOtherCommands:
         (("calibrate", "--stat", "vn", "--split", "0.5,0.51", "--n", "20",
           "--replicates", "100"), "takes 0 window(s), got 1"),
         (("calibrate", "--n", "20", "--replicates", "100"), "--stat"),
+        (("calibrate", "--stat", "vn", "--n-grid", "20,x", "--replicates", "100"), "'x'"),
+        (("calibrate", "--stat", "vn", "--n", "20", "--level", "2", "--replicates", "100"),
+         "level must be in (0, 1)"),
+        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "20", "--level", "0",
+          "--replicates", "100"), "level must be in (0, 1)"),
+        (("test", "--all", "--fixture", "rainfall", "--level", "2", "--replicates", "100"),
+         "level must be in (0, 1)"),
+        (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "10"), "1000 replicates"),
+        (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "1000", "--bins", "0"),
+         "bins"),
+        (("sample", "--dist", "levy", "--c", "-1", "--n", "5"), "scale c"),
+        (("sample", "--dist", "levy", "--n", "0"), "n must be >= 1"),
+        (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"), "b < 1"),
+        (("estimate", "--method", "mle", "--split", "0,0.5", "--fixture", "vessels"),
+         "--split"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
-            "vn-with-window", "no-stat"])
+            "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
+            "power-level-0", "test-all-level-2", "diagnose-replicates-10", "diagnose-bins-0",
+            "levy-c-negative", "levy-n-0", "qcm-split-to-1", "mle-with-split"])
     def test_bad_settings_are_usage_errors(self, capsys, argv, needle):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -207,6 +227,19 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert needle in lines[0]
+
+    def test_diagnose_has_no_level_flag(self, capsys):
+        code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--n", "20",
+                           "--replicates", "1000", "--level", "0.1")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_import_leaves_out_quadrature(self):
+        code = "import sys, levygof.cli; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              check=True)
+        assert done.stdout.strip() == "False"
 
     def test_infeasible_window_is_one_error_line(self, capsys):
         # Feasible at n = 5, but the second window is empty at n = 7.

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levygof.distributions import AlternativeSpec
+from levygof.distributions import AlternativeSpec, sample_alternative
 from levygof.montecarlo import (MonteCarloError, ReplicationPlan, calibrate,
                                 normality_diagnostic, p_value, power_study,
                                 run_test, simulate_null)
-from levygof.statistics import StatisticSpec
+from levygof.statistics import StatisticSpec, evaluate_batch
+from levygof.streams import RandomStream
 
 
-def plan(b, seed=100, workers=1, offset=0):
-    return ReplicationPlan(seed, b, workers, offset)
+def plan(b, seed=100, workers=1):
+    return ReplicationPlan(seed, b, workers)
 
 
 class TestPlan:
@@ -100,25 +101,40 @@ class TestRunTest:
 
 class TestPower:
     def test_far_alternative_high_power(self):
-        cell = power_study(StatisticSpec("on"), AlternativeSpec("halfnormal", (1.0,)),
-                           50, 0.05, plan(2000), plan(2000, offset=2000))
+        cell = power_study(simulate_null(StatisticSpec("on"), 50, plan(2000)),
+                           AlternativeSpec("halfnormal", (1.0,)), 0.05)
         assert cell.power > 0.95
 
     def test_null_alternative_is_level(self):
         # Feeding a Levy-like inverse-gamma-(1/2)-free proxy is not available;
         # instead check the power against a close alternative stays in [0, 1].
-        cell = power_study(StatisticSpec("vn"), AlternativeSpec("lognormal", (0.0, 1.0)),
-                           30, 0.05, plan(2000), plan(2000, offset=2000))
+        cell = power_study(simulate_null(StatisticSpec("vn"), 30, plan(2000)),
+                           AlternativeSpec("lognormal", (0.0, 1.0)), 0.05)
         assert 0.0 <= cell.power <= 1.0
         assert cell.std_error < 0.02
 
     def test_power_monotone_in_n(self):
         spec = StatisticSpec("vn")
         alt = AlternativeSpec("lognormal", (0.0, 1.0))
-        p20 = power_study(spec, alt, 20, 0.05, plan(3000), plan(3000, offset=3000))
-        p250 = power_study(spec, alt, 250, 0.05, plan(3000), plan(3000, offset=3000))
+        p20 = power_study(simulate_null(spec, 20, plan(3000)), alt, 0.05)
+        p250 = power_study(simulate_null(spec, 250, plan(3000)), alt, 0.05)
         combined_se = 2 * (p20.std_error + p250.std_error)
         assert p250.power >= p20.power - combined_se
+
+    def test_alternative_draws_the_streams_after_the_null(self):
+        # Replicate i of the alternative is drawn from stream (seed, B + i).
+        spec, alt, n, b, level = (StatisticSpec("tn"), AlternativeSpec("pareto", (0.75, 1.0)),
+                                  20, 600, 0.05)
+        null = simulate_null(spec, n, plan(b, seed=7, workers=2))
+        cell = power_study(null, alt, level)
+        x = np.stack([sample_alternative(alt, n, RandomStream(7, b + i)) for i in range(b)])
+        vals = evaluate_batch(spec, x)
+        lower, upper = calibrate(null, level)
+        with np.errstate(invalid="ignore"):
+            reject = ~((vals >= lower) & (vals <= upper))
+        assert cell.power == float(np.mean(reject))
+        assert cell.failed_replicates == int(np.sum(~np.isfinite(vals)))
+        assert (cell.kind, cell.n, cell.replicates) == ("tn", n, b)
 
 
 class TestDiagnostics:

@@ -16,11 +16,6 @@ def test_different_index_different_stream():
     assert not np.array_equal(a, b)
 
 
-def test_substream_equals_explicit_index():
-    base = RandomStream(99)
-    assert base.substream(5) == RandomStream(99, 5)
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7"])
 def test_invalid_seed_rejected(seed):
     with pytest.raises(ValueError):
