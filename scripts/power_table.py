@@ -11,7 +11,6 @@ Example:
 """
 import argparse
 import json
-import sys
 
 from levygof.distributions import AlternativeSpec
 from levygof.montecarlo import ReplicationPlan, power_study, simulate_null
@@ -45,21 +44,21 @@ def main():
 
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     n_grid = [int(v) for v in args.n_grid.split(",")]
-    for kind in args.stats.split(","):
-        spec = StatisticSpec(kind.strip())
-        # One null per n serves all alternatives (see power_study).
-        nulls = [simulate_null(spec, n, plan) for n in n_grid]
-        for fam, params in DEFAULT_ALTERNATIVES:
-            alt = AlternativeSpec(fam, params)
-            for null in nulls:
-                cell = power_study(null, alt, args.level)
+    specs = tuple(StatisticSpec(kind.strip()) for kind in args.stats.split(","))
+    alts = [AlternativeSpec(fam, params) for fam, params in DEFAULT_ALTERNATIVES]
+    # One draw per n serves every statistic, and its nulls serve every
+    # alternative (see power_study); cells[alt][n] holds one cell per statistic.
+    nulls = [simulate_null(specs, n, plan) for n in n_grid]
+    cells = [[power_study(null, alt, args.level) for null in nulls] for alt in alts]
+    for k in range(len(specs)):
+        for by_n in cells:
+            for cell in (by_stat[k] for by_stat in by_n):
                 print(json.dumps({
-                    "stat": cell.kind, "alt": alt.label(), "n": cell.n,
+                    "stat": cell.kind, "alt": cell.alternative.label(), "n": cell.n,
                     "level": args.level, "power": cell.power,
                     "std_error": cell.std_error,
                     "failed_replicates": cell.failed_replicates,
                 }))
-                sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -209,21 +209,22 @@ def cmd_estimate(args, emit: Emitter) -> int:
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
     if args.all:
-        specs = [StatisticSpec(kind) for kind in ALL_TEST_KINDS]
+        if args.split or args.split2:
+            raise UsageError("--split/--split2 do not apply to --all")
+        specs = tuple(StatisticSpec(kind) for kind in ALL_TEST_KINDS)
     elif args.stat:
-        specs = [_stat_spec(args)]
+        specs = (_stat_spec(args),)
     else:
         raise UsageError("provide --stat KIND or --all")
+    _check_level(args)
     plan = _plan(args)
     failures = 0
-    for spec in specs:
-        try:
-            rep = run_test(spec, data, args.level, plan)
-        except EstimationError as e:
+    bound = 1.0 / (plan.replicates + 1)
+    for spec, rep in zip(specs, run_test(specs, data, args.level, plan)):
+        if isinstance(rep, EstimationError):
             failures += 1
-            emit.record({"stat": spec.kind, "error": str(e)})
+            emit.record({"stat": spec.kind, "error": str(rep)})
             continue
-        bound = 1.0 / (plan.replicates + 1)
         rec = {
             "stat": rep.kind,
             "value": rep.value,
@@ -240,9 +241,17 @@ def cmd_test(args, emit: Emitter) -> int:
     return EXIT_ESTIMATION if failures == len(specs) else EXIT_OK
 
 
+def _check_level(args) -> None:
+    if not 0.0 < args.level < 1.0:
+        raise UsageError(f"bad --level {args.level}: level must be in (0, 1)")
+
+
 def _n_values(args) -> list[int]:
     if args.n_grid:
-        return [int(v) for v in args.n_grid.split(",")]
+        try:
+            return [int(v) for v in args.n_grid.split(",")]
+        except ValueError as e:
+            raise UsageError(f"bad --n-grid value {args.n_grid!r}: {e}")
     if args.n is None:
         raise UsageError("provide --n or --n-grid")
     return [args.n]
@@ -250,9 +259,10 @@ def _n_values(args) -> list[int]:
 
 def cmd_calibrate(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
+    _check_level(args)
     plan = _plan(args)
     for n in _n_values(args):
-        nd = simulate_null(spec, n, plan)
+        (nd,) = simulate_null((spec,), n, plan)
         lower, upper = calibrate(nd, args.level)
         emit.record({"stat": spec.kind, "n": n, "level": args.level,
                      "lower": lower, "upper": upper,
@@ -263,9 +273,10 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 def cmd_power(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     alt = _parse_alt(args.alt)
+    _check_level(args)
     plan = _plan(args)
     for n in _n_values(args):
-        cell = power_study(simulate_null(spec, n, plan), alt, args.level)
+        (cell,) = power_study(simulate_null((spec,), n, plan), alt, args.level)
         emit.record({"stat": cell.kind, "alt": alt.label(), "n": cell.n,
                      "level": cell.level, "power": cell.power,
                      "std_error": cell.std_error, "replicates": cell.replicates,
@@ -276,6 +287,8 @@ def cmd_power(args, emit: Emitter) -> int:
 
 def cmd_diagnose(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
+    if args.bins < 1:
+        raise UsageError(f"bad --bins {args.bins}: bins must be >= 1")
     for n in _n_values(args):
         rep = normality_diagnostic(spec, n, _plan(args), bins=args.bins)
         emit.record({"stat": rep.kind, "n": rep.n,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -84,8 +84,12 @@ def _exp_over(u: float, power: int) -> float:
     return float(np.exp(-u * u) / u**power)
 
 
+@lru_cache
 def theoretical_qcm(split: QuantileSplit, c: float = 1.0) -> float:
-    """Conditional mean of Lv(c) between its a- and b-quantiles; linear in c."""
+    """Conditional mean of Lv(c) between its a- and b-quantiles; linear in c.
+
+    Cached: the statistics divide every batch by the same few constants.
+    """
     split.require_open_top()
     if c <= 0.0:
         raise ValueError("scale c must be > 0")
@@ -113,6 +117,7 @@ def theoretical_second_moment(split: QuantileSplit, c: float = 1.0) -> float:
     return c * c * num / (2.0 * _SQRT_PI * (split.b - split.a))
 
 
+@lru_cache
 def theoretical_qcv(split: QuantileSplit, c: float = 1.0) -> float:
     """Conditional variance of Lv(c) on the window; scales as c^2."""
     m1 = theoretical_qcm(split, c)

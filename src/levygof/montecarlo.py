@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .condmoments import EstimationError
 from .distributions import AlternativeSpec, LevyParams, sample_alternative, sample_levy
 from .special import normal_cdf
-from .statistics import StatisticSpec, evaluate_batch
+from .statistics import StatisticSpec, evaluate, evaluate_batch
 from .streams import RandomStream
 
 __all__ = [
@@ -124,41 +125,50 @@ def _draw_chunk(draw, params, n: int, master_seed: int, start: int, stop: int) -
 
 
 def _chunk_task(args):
-    spec, n, master_seed, start, stop, draw, params = args
-    return evaluate_batch(spec, _draw_chunk(draw, params, n, master_seed, start, stop))
+    specs, n, master_seed, start, stop, draw, params = args
+    rows = _draw_chunk(draw, params, n, master_seed, start, stop)
+    return np.stack([evaluate_batch(spec, rows) for spec in specs])
 
 
-def _simulate(spec: StatisticSpec, n: int, plan: ReplicationPlan, first: int,
+def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, first: int,
               draw, params) -> np.ndarray:
-    """Statistic values on `draw(params, n, stream)` samples from streams
-    first ... first + B - 1, in replicate order; NaN marks failed replicates."""
-    spec.check_n(n)
-    hi = first + plan.replicates
-    tasks = [(spec, n, plan.master_seed, s, min(s + CHUNK, hi), draw, params)
-             for s in range(first, hi, CHUNK)]
+    """Values of each statistic on the same `draw(params, n, stream)` samples
+    from streams first ... first + B - 1: a (len(specs), B) array in replicate
+    order; NaN marks failed replicates."""
+    for spec in specs:
+        spec.check_n(n)
+    b = plan.replicates
+    out = np.empty((len(specs), b))
+    starts = range(0, b, CHUNK)
+    tasks = [(specs, n, plan.master_seed, first + s, first + min(s + CHUNK, b), draw, params)
+             for s in starts]
     if plan.worker_hint > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=plan.worker_hint) as pool:
-            chunks = list(pool.map(_chunk_task, tasks))
+            for s, vals in zip(starts, pool.map(_chunk_task, tasks)):
+                out[:, s:s + CHUNK] = vals
     else:
-        chunks = [_chunk_task(t) for t in tasks]
-    return np.concatenate(chunks)
+        for s, task in zip(starts, tasks):
+            out[:, s:s + CHUNK] = _chunk_task(task)
+    return out
 
 
-def simulate_null(spec: StatisticSpec, n: int, plan: ReplicationPlan,
-                  c: float = 1.0) -> NullDistribution:
-    """Simulate the null law of the statistic on Lv(c) samples of size n.
+def simulate_null(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan,
+                  c: float = 1.0) -> tuple[NullDistribution, ...]:
+    """Simulate the null law of each statistic on the same Lv(c) samples of size n.
 
     By pivotality c = 1 suffices; the override exists for pivotality checks.
     A failed replicate under the null signals a bug or an infeasible window,
     so it aborts with the replicate index rather than being absorbed.
     """
-    vals = _simulate(spec, n, plan, 0, sample_levy, LevyParams(c=c))
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise MonteCarloError(
-            f"statistic {spec.kind} failed on null replicate {int(bad[0])} "
-            f"(n={n}, seed={plan.master_seed})")
-    return NullDistribution(spec, n, np.sort(vals), plan)
+    vals = _simulate(specs, n, plan, 0, sample_levy, LevyParams(c=c))
+    for spec, row in zip(specs, vals):
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            raise MonteCarloError(
+                f"statistic {spec.kind} failed on null replicate {int(bad[0])} "
+                f"(n={n}, seed={plan.master_seed})")
+    vals.sort(axis=1)
+    return tuple(NullDistribution(spec, n, row, plan) for spec, row in zip(specs, vals))
 
 
 def _check_level(level: float) -> None:
@@ -186,41 +196,62 @@ def p_value(nd: NullDistribution, observed: float) -> float:
     return min(1.0, 2.0 * min(r_low + 1, r_high + 1) / (b + 1))
 
 
-def run_test(spec: StatisticSpec, sample, level: float, plan: ReplicationPlan) -> TestReport:
-    """Evaluate the statistic on data and test it against its simulated null."""
-    from .statistics import evaluate
+def run_test(specs: tuple[StatisticSpec, ...], sample, level: float,
+             plan: ReplicationPlan) -> tuple[TestReport | EstimationError, ...]:
+    """Evaluate each statistic on data and test it against its simulated null.
 
+    A statistic undefined on the data (e.g. a window too small at its n) gets
+    its EstimationError in place of a report; the others share one null draw.
+    """
     _check_level(level)
-    value = evaluate(spec, sample)
     s = np.asarray(sample, dtype=float).ravel()
-    nd = simulate_null(spec, s.size, plan)
-    lower, upper = calibrate(nd, level)
-    p = p_value(nd, value)
-    return TestReport(spec.kind, value, p, level, not lower <= value <= upper,
-                      lower, upper, plan.replicates, plan.master_seed)
+    results = []
+    for spec in specs:
+        try:
+            results.append(evaluate(spec, s))
+        except EstimationError as e:
+            results.append(e)
+    ok = [i for i, r in enumerate(results) if not isinstance(r, EstimationError)]
+    if ok:
+        nulls = simulate_null(tuple(specs[i] for i in ok), s.size, plan)
+        for i, nd in zip(ok, nulls):
+            value = results[i]
+            lower, upper = calibrate(nd, level)
+            results[i] = TestReport(nd.spec.kind, value, p_value(nd, value), level,
+                                    not lower <= value <= upper, lower, upper,
+                                    plan.replicates, plan.master_seed)
+    return tuple(results)
 
 
-def power_study(null: NullDistribution, alt: AlternativeSpec, level: float) -> PowerCell:
-    """Rejection frequency under the alternative with the null's thresholds.
+def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
+                level: float) -> tuple[PowerCell, ...]:
+    """Rejection frequency under the alternative with each null's thresholds.
 
-    The statistic, n, seed, B and worker count come from `null`. Its
-    replicates used streams 0 ... B-1 of the seed; the alternative's B samples
-    use streams B ... 2B-1, so one null serves every alternative.
+    The nulls share n, seed, B and worker count; their replicates used streams
+    0 ... B-1 of the seed. The alternative's B samples use streams B ... 2B-1
+    and are drawn once for every statistic, so one set of nulls serves every
+    alternative.
 
     A replicate on which the statistic is undefined (e.g. a nonpositive COV
     denominator under a far alternative) counts as a rejection: such samples
     are maximally inconsistent with the null, and discarding them would bias
     the power estimate downward.
     """
-    lower, upper = calibrate(null, level)
-    b = null.plan.replicates
-    vals = _simulate(null.spec, null.n, null.plan, b, sample_alternative, alt)
-    failed = int(np.sum(~np.isfinite(vals)))
-    with np.errstate(invalid="ignore"):
-        reject = ~((vals >= lower) & (vals <= upper))  # NaN compares False -> reject
-    power = float(np.mean(reject))
-    se = float(np.sqrt(power * (1.0 - power) / b))
-    return PowerCell(null.spec.kind, alt, null.n, level, power, b, se, failed)
+    n, plan = nulls[0].n, nulls[0].plan
+    if any((nd.n, nd.plan) != (n, plan) for nd in nulls):
+        raise ValueError("power_study needs nulls of one sample size and plan")
+    bounds = [calibrate(nd, level) for nd in nulls]
+    b = plan.replicates
+    vals = _simulate(tuple(nd.spec for nd in nulls), n, plan, b, sample_alternative, alt)
+    cells = []
+    for nd, (lower, upper), v in zip(nulls, bounds, vals):
+        with np.errstate(invalid="ignore"):
+            reject = ~((v >= lower) & (v <= upper))  # NaN compares False -> reject
+        power = float(np.mean(reject))
+        se = float(np.sqrt(power * (1.0 - power) / b))
+        cells.append(PowerCell(nd.spec.kind, alt, n, level, power, b, se,
+                               int(np.sum(~np.isfinite(v)))))
+    return tuple(cells)
 
 
 def normality_diagnostic(spec: StatisticSpec, n: int, plan: ReplicationPlan,
@@ -232,7 +263,9 @@ def normality_diagnostic(spec: StatisticSpec, n: int, plan: ReplicationPlan,
     """
     if plan.replicates < 1000:
         raise ValueError("diagnostic needs at least 1000 replicates")
-    nd = simulate_null(spec, n, plan)
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    (nd,) = simulate_null((spec,), n, plan)
     mean = float(nd.values.mean())
     std = float(nd.values.std())
     counts, edges = np.histogram(nd.values, bins=bins)

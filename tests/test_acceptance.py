@@ -63,7 +63,7 @@ def null_1e5():
         key = (kind, n)
         if key not in cache:
             plan = ReplicationPlan(SEED, C2_REPLICATES)
-            cache[key] = simulate_null(StatisticSpec(kind), n, plan)
+            (cache[key],) = simulate_null((StatisticSpec(kind),), n, plan)
         return cache[key]
 
     return get
@@ -173,8 +173,8 @@ C6_CELLS = [
     ids=[f"{k}-{a.family}-n{n}-l{lv}" for k, a, n, lv, _ in C6_CELLS])
 def test_criterion6_power_spot_checks(kind, alt, n, level, expected):
     b = 5000
-    cell = power_study(simulate_null(StatisticSpec(kind), n, ReplicationPlan(SEED, b)),
-                       alt, level)
+    (cell,) = power_study(simulate_null((StatisticSpec(kind),), n, ReplicationPlan(SEED, b)),
+                          alt, level)
     if expected >= 1.0:
         assert cell.power >= 0.98
     else:
@@ -198,8 +198,8 @@ def test_criterion7_normal_fit_at_n1000(kind):
 @pytest.mark.parametrize("kind", ["vn", "on", "tn"])
 def test_criterion7_pivotality_in_c(kind):
     spec = StatisticSpec(kind)
-    a = simulate_null(spec, 250, ReplicationPlan(SEED, 5000), c=1.0)
-    b = simulate_null(spec, 250, ReplicationPlan(SEED + 7, 5000), c=100.0)
+    (a,) = simulate_null((spec,), 250, ReplicationPlan(SEED, 5000), c=1.0)
+    (b,) = simulate_null((spec,), 250, ReplicationPlan(SEED + 7, 5000), c=100.0)
     assert ks_2samp(a.values, b.values).statistic < 0.03
 
 
@@ -232,8 +232,8 @@ def test_criterion8_invariance_suite():
 
 def test_criterion9_determinism():
     spec = StatisticSpec("tn")
-    one = simulate_null(spec, 30, ReplicationPlan(SEED, 1500, worker_hint=1))
-    again = simulate_null(spec, 30, ReplicationPlan(SEED, 1500, worker_hint=1))
-    parallel = simulate_null(spec, 30, ReplicationPlan(SEED, 1500, worker_hint=3))
+    (one,) = simulate_null((spec,), 30, ReplicationPlan(SEED, 1500, worker_hint=1))
+    (again,) = simulate_null((spec,), 30, ReplicationPlan(SEED, 1500, worker_hint=1))
+    (parallel,) = simulate_null((spec,), 30, ReplicationPlan(SEED, 1500, worker_hint=3))
     assert one.values.tobytes() == again.values.tobytes()
     assert one.values.tobytes() == parallel.values.tobytes()

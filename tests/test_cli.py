@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE,
                          main, read_observations)
 
@@ -128,6 +129,29 @@ class TestTest:
             vals.append(records(out)[0]["value"])
         assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
+    def test_infeasible_kind_is_one_error_record(self, tmp_path, capsys, monkeypatch):
+        # At n = 5 the second window of on, (0.8, 0.95), holds no order
+        # statistic; the other kinds are tested on one draw of B replicates.
+        real, streams = mc.sample_levy, []
+
+        def draw(params, n, stream):
+            streams.append(stream.stream_index)
+            return real(params, n, stream)
+        monkeypatch.setattr(mc, "sample_levy", draw)
+        f = tmp_path / "d.txt"
+        f.write_text("\n".join(str(v) for v in 1.0 / np.linspace(0.3, 2.0, 5) ** 2))
+        code, out, _ = run(capsys, "test", "--all", "--input", str(f),
+                           "--replicates", "300", "--seed", "1")
+        assert code == EXIT_OK
+        recs = records(out)
+        assert [r["stat"] for r in recs] == ["vn", "tn", "on", "deltan", "ran"]
+        for rec in recs:
+            if rec["stat"] == "on":
+                assert "window (0.8, 0.95) holds 0 order statistics" in rec["error"]
+            else:
+                assert 0.0 < rec["p_value"] <= 1.0 and rec["replicates"] == 300
+        assert sorted(streams) == list(range(300))
+
     def test_requires_stat_or_all(self, capsys):
         code, _, _ = run(capsys, "test", "--fixture", "vessels")
         assert code == EXIT_USAGE
@@ -201,16 +225,18 @@ class TestOtherCommands:
         (("calibrate", "--stat", "vn", "--split", "0.5,0.51", "--n", "20",
           "--replicates", "100"), "takes 0 window(s), got 1"),
         (("calibrate", "--n", "20", "--replicates", "100"), "--stat"),
-        (("calibrate", "--stat", "vn", "--n-grid", "20,x", "--replicates", "100"), "'x'"),
+        (("calibrate", "--stat", "vn", "--n-grid", "20,x", "--replicates", "100"), "--n-grid"),
         (("calibrate", "--stat", "vn", "--n", "20", "--level", "2", "--replicates", "100"),
          "level must be in (0, 1)"),
         (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "20", "--level", "0",
           "--replicates", "100"), "level must be in (0, 1)"),
         (("test", "--all", "--fixture", "rainfall", "--level", "2", "--replicates", "100"),
          "level must be in (0, 1)"),
+        (("test", "--all", "--split", "0.1,0.2", "--fixture", "vessels", "--replicates", "100"),
+         "--split"),
         (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "10"), "1000 replicates"),
         (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "1000", "--bins", "0"),
-         "bins"),
+         "--bins"),
         (("sample", "--dist", "levy", "--c", "-1", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy", "--n", "0"), "n must be >= 1"),
         (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"), "b < 1"),
@@ -218,9 +244,13 @@ class TestOtherCommands:
          "--split"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
-            "power-level-0", "test-all-level-2", "diagnose-replicates-10", "diagnose-bins-0",
-            "levy-c-negative", "levy-n-0", "qcm-split-to-1", "mle-with-split"])
-    def test_bad_settings_are_usage_errors(self, capsys, argv, needle):
+            "power-level-0", "test-all-level-2", "test-all-with-split",
+            "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-n-0",
+            "qcm-split-to-1", "mle-with-split"])
+    def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
+        def no_draw(*args):
+            raise AssertionError("a bad setting was found only after drawing replicates")
+        monkeypatch.setattr(mc, "_simulate", no_draw)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""

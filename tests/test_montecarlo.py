@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import levygof.montecarlo as mc
 from levygof.distributions import AlternativeSpec, sample_alternative
-from levygof.montecarlo import (MonteCarloError, ReplicationPlan, calibrate,
+from levygof.montecarlo import (CHUNK, MonteCarloError, ReplicationPlan, calibrate,
                                 normality_diagnostic, p_value, power_study,
                                 run_test, simulate_null)
-from levygof.statistics import StatisticSpec, evaluate_batch
+from levygof.statistics import STATISTIC_KINDS, StatisticSpec, evaluate_batch
 from levygof.streams import RandomStream
 
 
@@ -26,39 +27,82 @@ class TestPlan:
 
 class TestSimulateNull:
     def test_sorted_and_sized(self):
-        nd = simulate_null(StatisticSpec("vn"), 25, plan(300))
+        (nd,) = simulate_null((StatisticSpec("vn"),), 25, plan(300))
         assert nd.values.size == 300
         assert np.all(np.diff(nd.values) >= 0)
 
     def test_byte_identical_across_worker_hints(self):
-        a = simulate_null(StatisticSpec("tn"), 30, plan(1200, workers=1))
-        b = simulate_null(StatisticSpec("tn"), 30, plan(1200, workers=4))
+        (a,) = simulate_null((StatisticSpec("tn"),), 30, plan(1200, workers=1))
+        (b,) = simulate_null((StatisticSpec("tn"),), 30, plan(1200, workers=4))
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_byte_identical_across_runs(self):
-        a = simulate_null(StatisticSpec("on"), 40, plan(800))
-        b = simulate_null(StatisticSpec("on"), 40, plan(800))
+        (a,) = simulate_null((StatisticSpec("on"),), 40, plan(800))
+        (b,) = simulate_null((StatisticSpec("on"),), 40, plan(800))
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_seed_changes_output(self):
-        a = simulate_null(StatisticSpec("vn"), 25, plan(300, seed=1))
-        b = simulate_null(StatisticSpec("vn"), 25, plan(300, seed=2))
+        (a,) = simulate_null((StatisticSpec("vn"),), 25, plan(300, seed=1))
+        (b,) = simulate_null((StatisticSpec("vn"),), 25, plan(300, seed=2))
         assert not np.array_equal(a.values, b.values)
 
     def test_pivotality_in_c(self):
         spec = StatisticSpec("vn")
-        a = simulate_null(spec, 50, plan(5000, seed=9), c=1.0)
-        b = simulate_null(spec, 50, plan(5000, seed=10), c=7.0)
+        (a,) = simulate_null((spec,), 50, plan(5000, seed=9), c=1.0)
+        (b,) = simulate_null((spec,), 50, plan(5000, seed=10), c=7.0)
         assert ks_2samp(a.values, b.values).statistic < 0.03
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
-            simulate_null(StatisticSpec("on"), 4, plan(100))
+            simulate_null((StatisticSpec("on"),), 4, plan(100))
+
+
+class TestDrawOnce:
+    """The statistics of one call share one set of replicate samples."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_joint_null_equals_one_spec_nulls(self, workers):
+        b = 1300
+        assert b % CHUNK  # the last chunk is a short one
+        specs = tuple(StatisticSpec(kind) for kind in STATISTIC_KINDS)
+        joint = simulate_null(specs, 31, plan(b, workers=workers))
+        assert [nd.spec for nd in joint] == list(specs)
+        for spec, nd in zip(specs, joint):
+            (alone,) = simulate_null((spec,), 31, plan(b, workers=workers))
+            assert nd.values.tobytes() == alone.values.tobytes(), spec.kind
+
+    def test_joint_power_equals_per_null_cells(self):
+        specs = tuple(StatisticSpec(kind) for kind in ("vn", "on", "tn", "cn"))
+        alt = AlternativeSpec("pareto", (0.75, 1.0))
+        joint = power_study(simulate_null(specs, 20, plan(600, seed=7)), alt, 0.05)
+        alone = tuple(power_study(simulate_null((spec,), 20, plan(600, seed=7)), alt, 0.05)[0]
+                      for spec in specs)
+        assert joint == alone
+
+    def test_power_study_needs_one_n(self):
+        (a,) = simulate_null((StatisticSpec("vn"),), 20, plan(100))
+        (b,) = simulate_null((StatisticSpec("vn"),), 21, plan(100))
+        with pytest.raises(ValueError):
+            power_study((a, b), AlternativeSpec("lognormal", (0.0, 1.0)), 0.05)
+
+    def test_failed_null_replicate_names_kind_and_index(self, monkeypatch):
+        # Replicate 5 gets a negative value: vn is undefined on it, cn is not.
+        real = mc.sample_levy
+
+        def draw(params, n, stream):
+            x = real(params, n, stream)
+            if stream.stream_index == 5:
+                x[0] = -1.0
+            return x
+        monkeypatch.setattr(mc, "sample_levy", draw)
+        with pytest.raises(MonteCarloError, match="statistic vn failed on null replicate 5"):
+            simulate_null((StatisticSpec("cn"), StatisticSpec("vn")), 20, plan(50))
 
 
 @pytest.fixture(scope="module")
 def nd():
-    return simulate_null(StatisticSpec("vn"), 30, plan(4000))
+    (nd,) = simulate_null((StatisticSpec("vn"),), 30, plan(4000))
+    return nd
 
 
 class TestCalibrationAndP:
@@ -85,7 +129,7 @@ class TestCalibrationAndP:
 
     def test_size_equals_level(self, nd):
         lower, upper = calibrate(nd, 0.05)
-        fresh = simulate_null(StatisticSpec("vn"), 30, plan(4000, seed=555))
+        (fresh,) = simulate_null((StatisticSpec("vn"),), 30, plan(4000, seed=555))
         rate = np.mean((fresh.values < lower) | (fresh.values > upper))
         se = np.sqrt(0.05 * 0.95 / 4000)
         assert abs(rate - 0.05) < 3 * se
@@ -94,30 +138,30 @@ class TestCalibrationAndP:
 class TestRunTest:
     def test_report_fields_consistent(self):
         data = 1.0 / np.linspace(0.21, 3.0, 25) ** 2
-        rep = run_test(StatisticSpec("vn"), data, 0.05, plan(2000))
+        (rep,) = run_test((StatisticSpec("vn"),), data, 0.05, plan(2000))
         assert 0.0 < rep.p <= 1.0
         assert rep.reject == (not rep.lower <= rep.value <= rep.upper)
 
 
 class TestPower:
     def test_far_alternative_high_power(self):
-        cell = power_study(simulate_null(StatisticSpec("on"), 50, plan(2000)),
-                           AlternativeSpec("halfnormal", (1.0,)), 0.05)
+        (cell,) = power_study(simulate_null((StatisticSpec("on"),), 50, plan(2000)),
+                              AlternativeSpec("halfnormal", (1.0,)), 0.05)
         assert cell.power > 0.95
 
     def test_null_alternative_is_level(self):
         # Feeding a Levy-like inverse-gamma-(1/2)-free proxy is not available;
         # instead check the power against a close alternative stays in [0, 1].
-        cell = power_study(simulate_null(StatisticSpec("vn"), 30, plan(2000)),
-                           AlternativeSpec("lognormal", (0.0, 1.0)), 0.05)
+        (cell,) = power_study(simulate_null((StatisticSpec("vn"),), 30, plan(2000)),
+                              AlternativeSpec("lognormal", (0.0, 1.0)), 0.05)
         assert 0.0 <= cell.power <= 1.0
         assert cell.std_error < 0.02
 
     def test_power_monotone_in_n(self):
         spec = StatisticSpec("vn")
         alt = AlternativeSpec("lognormal", (0.0, 1.0))
-        p20 = power_study(simulate_null(spec, 20, plan(3000)), alt, 0.05)
-        p250 = power_study(simulate_null(spec, 250, plan(3000)), alt, 0.05)
+        (p20,) = power_study(simulate_null((spec,), 20, plan(3000)), alt, 0.05)
+        (p250,) = power_study(simulate_null((spec,), 250, plan(3000)), alt, 0.05)
         combined_se = 2 * (p20.std_error + p250.std_error)
         assert p250.power >= p20.power - combined_se
 
@@ -125,8 +169,8 @@ class TestPower:
         # Replicate i of the alternative is drawn from stream (seed, B + i).
         spec, alt, n, b, level = (StatisticSpec("tn"), AlternativeSpec("pareto", (0.75, 1.0)),
                                   20, 600, 0.05)
-        null = simulate_null(spec, n, plan(b, seed=7, workers=2))
-        cell = power_study(null, alt, level)
+        (null,) = simulate_null((spec,), n, plan(b, seed=7, workers=2))
+        (cell,) = power_study((null,), alt, level)
         x = np.stack([sample_alternative(alt, n, RandomStream(7, b + i)) for i in range(b)])
         vals = evaluate_batch(spec, x)
         lower, upper = calibrate(null, level)
