@@ -30,8 +30,8 @@ def main():
     args = ap.parse_args()
 
     for n in (int(v) for v in args.n_grid.split(",")):
-        x = np.vstack([sample_levy(LevyParams(c=args.c), n, RandomStream(args.seed, i))
-                       for i in range(args.replicates)])
+        x = np.vstack([sample_levy(LevyParams(c=args.c), n, stream)
+                       for stream in RandomStream.block(args.seed, 0, args.replicates)])
         xs = np.sort(x, axis=1)
         values = {
             "QCM": window_mean(xs, QCM_SPLIT) / theoretical_qcm(QCM_SPLIT, 1.0),

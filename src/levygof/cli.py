@@ -22,6 +22,7 @@ from .estimators import (EstimationError, estimate_cov, estimate_mle, estimate_q
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic,
                          p_value, power_study, run_test, simulate_null)
 from .statistics import STATISTIC_KINDS, StatisticSpec, evaluate
+from .streams import RandomStream
 
 __all__ = ["main"]
 
@@ -172,9 +173,10 @@ def _stat_spec(args) -> StatisticSpec:
 
 
 def cmd_sample(args, emit: Emitter) -> int:
-    from .streams import RandomStream
-
-    stream = RandomStream(args.seed, 0)
+    try:
+        stream = RandomStream(args.seed, 0)
+    except ValueError as e:
+        raise UsageError(f"bad --seed: {e}")
     if args.dist == "levy":
         draws = sample_levy(LevyParams(c=args.c, mu=args.mu), args.n, stream)
     else:

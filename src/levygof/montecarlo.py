@@ -119,8 +119,8 @@ class DiagnosticReport:
 
 def _draw_chunk(draw, params, n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
     rows = np.empty((stop - start, n))
-    for k, idx in enumerate(range(start, stop)):
-        rows[k] = draw(params, n, RandomStream(master_seed, idx))
+    for k, stream in enumerate(RandomStream.block(master_seed, start, stop)):
+        rows[k] = draw(params, n, stream)
     return rows
 
 

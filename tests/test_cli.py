@@ -239,6 +239,7 @@ class TestOtherCommands:
          "--bins"),
         (("sample", "--dist", "levy", "--c", "-1", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy", "--n", "0"), "n must be >= 1"),
+        (("sample", "--dist", "levy", "--n", "5", "--seed", "-1"), "--seed"),
         (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"), "b < 1"),
         (("estimate", "--method", "mle", "--split", "0,0.5", "--fixture", "vessels"),
          "--split"),
@@ -246,6 +247,7 @@ class TestOtherCommands:
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
             "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-n-0",
+            "sample-seed-negative",
             "qcm-split-to-1", "mle-with-split"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
