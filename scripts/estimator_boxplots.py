@@ -21,6 +21,17 @@ QCM_SPLIT = QuantileSplit(0.2, 0.48)
 QCV_SPLIT = QuantileSplit(0.0, 0.7)
 
 
+def estimates(x):
+    """The four scale estimates of each row of x, keyed by method."""
+    xs = np.sort(x, axis=1)
+    return {
+        "QCM": window_mean(xs, QCM_SPLIT) / theoretical_qcm(QCM_SPLIT, 1.0),
+        "QCV": np.sqrt(window_var(xs, QCV_SPLIT) / theoretical_qcv(QCV_SPLIT, 1.0)),
+        "MLE": mle(x),
+        "COV": cov(x),
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--c", type=float, default=2.0)
@@ -29,17 +40,24 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    for n in (int(v) for v in args.n_grid.split(",")):
-        x = np.vstack([sample_levy(LevyParams(c=args.c), n, stream)
-                       for stream in RandomStream.block(args.seed, 0, args.replicates)])
-        xs = np.sort(x, axis=1)
-        values = {
-            "QCM": window_mean(xs, QCM_SPLIT) / theoretical_qcm(QCM_SPLIT, 1.0),
-            "QCV": np.sqrt(window_var(xs, QCV_SPLIT) / theoretical_qcv(QCV_SPLIT, 1.0)),
-            "MLE": mle(x),
-            "COV": cov(x),
-        }
-        for name, v in values.items():
+    # Every argument is checked before the first draw: the window kernels
+    # check each n on an empty (0, n) batch.
+    try:
+        params = LevyParams(c=args.c)
+        if args.replicates < 1:
+            raise ValueError("replicates must be >= 1")
+        streams = RandomStream.block(args.seed, 0, args.replicates)
+        n_grid = [int(v) for v in args.n_grid.split(",")]
+        for n in n_grid:
+            if n < 1:
+                raise ValueError(f"--n-grid sizes must be >= 1, got {n}")
+            estimates(np.empty((0, n)))
+    except ValueError as e:
+        ap.error(str(e))
+
+    for n in n_grid:
+        x = np.vstack([sample_levy(params, n, stream) for stream in streams])
+        for name, v in estimates(x).items():
             q1, med, q3 = np.percentile(v, [25, 50, 75])
             print(json.dumps({
                 "method": name, "n": n, "c": args.c,

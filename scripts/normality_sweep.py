@@ -23,12 +23,24 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    for kind in args.stats.split(","):
-        spec = StatisticSpec(kind.strip())
-        for n in (int(v) for v in args.n_grid.split(",")):
-            rep = normality_diagnostic(
-                spec, n, ReplicationPlan(args.seed, args.replicates, args.workers),
-                bins=args.bins)
+    try:
+        plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+        specs = [StatisticSpec(kind.strip()) for kind in args.stats.split(",")]
+        n_grid = [int(v) for v in args.n_grid.split(",")]
+        for spec in specs:
+            for n in n_grid:
+                spec.check_n(n)
+    except ValueError as e:
+        ap.error(str(e))
+
+    for spec in specs:
+        for n in n_grid:
+            try:
+                # Checks the replicate count and the bins before it draws, so
+                # a bad value fails the first call with nothing printed.
+                rep = normality_diagnostic(spec, n, plan, bins=args.bins)
+            except ValueError as e:
+                ap.error(str(e))
             print(json.dumps({
                 "stat": rep.kind, "n": rep.n,
                 "fitted_mean": rep.fitted_mean, "fitted_std": rep.fitted_std,

@@ -42,9 +42,17 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    specs = tuple(StatisticSpec(kind.strip()) for kind in args.stats.split(","))
+    try:
+        if not 0.0 < args.level < 1.0:
+            raise ValueError("level must be in (0, 1)")
+        plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+        n_grid = [int(v) for v in args.n_grid.split(",")]
+        specs = tuple(StatisticSpec(kind.strip()) for kind in args.stats.split(","))
+        for spec in specs:
+            for n in n_grid:
+                spec.check_n(n)
+    except ValueError as e:
+        ap.error(str(e))
     alts = [AlternativeSpec(fam, params) for fam, params in DEFAULT_ALTERNATIVES]
     # One draw per n serves every statistic, and its nulls serve every
     # alternative (see power_study); cells[alt][n] holds one cell per statistic.

@@ -11,7 +11,6 @@ from .montecarlo import (DiagnosticReport, NullDistribution, PowerCell,
                          ReplicationPlan, TestReport, calibrate,
                          normality_diagnostic, p_value, power_study, run_test,
                          simulate_null)
-from .special import inv_erf_one_minus, normal_cdf, normal_quantile
 from .statistics import (StatisticSpec, stat_cn, stat_deltan, stat_on,
                          stat_ran, stat_tn, stat_vn)
 from .streams import RandomStream
@@ -29,7 +28,6 @@ __all__ = [
     "DiagnosticReport", "NullDistribution", "PowerCell", "ReplicationPlan",
     "TestReport", "calibrate", "normality_diagnostic", "p_value",
     "power_study", "run_test", "simulate_null",
-    "inv_erf_one_minus", "normal_cdf", "normal_quantile",
     "StatisticSpec", "stat_cn", "stat_deltan", "stat_on", "stat_ran",
     "stat_tn", "stat_vn",
     "RandomStream",

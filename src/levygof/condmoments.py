@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfcinv
 
 from .distributions import LevyParams, levy_pdf, levy_quantile
-from .special import inv_erf_one_minus
 
 __all__ = [
     "EstimationError",
@@ -93,8 +92,8 @@ def theoretical_qcm(split: QuantileSplit, c: float = 1.0) -> float:
     split.require_open_top()
     if c <= 0.0:
         raise ValueError("scale c must be > 0")
-    ga = inv_erf_one_minus(split.a)
-    gb = inv_erf_one_minus(split.b)
+    ga = erfcinv(split.a)
+    gb = erfcinv(split.b)
     return c * ((_exp_over(gb, 1) - _exp_over(ga, 1)) / (_SQRT_PI * (split.b - split.a)) - 1.0)
 
 
@@ -111,8 +110,8 @@ def theoretical_second_moment(split: QuantileSplit, c: float = 1.0) -> float:
     split.require_open_top()
     if c <= 0.0:
         raise ValueError("scale c must be > 0")
-    ga = inv_erf_one_minus(split.a)
-    gb = inv_erf_one_minus(split.b)
+    ga = erfcinv(split.a)
+    gb = erfcinv(split.b)
     num = _second_moment_antiderivative(ga) - _second_moment_antiderivative(gb)
     return c * c * num / (2.0 * _SQRT_PI * (split.b - split.a))
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc, erfcinv
 
-from .special import inv_erf_one_minus, normal_cdf, normal_quantile
 from .streams import RandomStream
 
 __all__ = [
@@ -36,14 +36,14 @@ class LevyParams:
 
 
 def levy_cdf(x, p: LevyParams = LevyParams()):
-    """CDF: 0 for x <= mu, else 2 - 2*Phi(sqrt(c/(x-mu)))."""
+    """CDF: 0 for x <= mu, else erfc(sqrt(c / (2 (x - mu))))."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
-        out[pos] = 2.0 - 2.0 * normal_cdf(np.sqrt(p.c / (x[pos] - p.mu)))
+        out[pos] = erfc(np.sqrt(p.c / (2.0 * (x[pos] - p.mu))))
     return float(out[0]) if scalar else out
 
 
@@ -61,12 +61,11 @@ def levy_pdf(x, p: LevyParams = LevyParams()):
 
 
 def levy_quantile(prob, p: LevyParams = LevyParams()):
-    """Quantile: mu + c / (sqrt(2) * erfinv(1 - prob))^2 for prob in (0, 1)."""
+    """Quantile: mu + c / (2 erfcinv(prob)^2) for prob in (0, 1)."""
     q = np.asarray(prob, dtype=float)
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise ValueError("quantile requires 0 < prob < 1")
-    g = inv_erf_one_minus(q)
-    return p.mu + p.c / (2.0 * g * g)
+    return p.mu + p.c / (2.0 * erfcinv(q) ** 2)
 
 
 def sample_levy(p: LevyParams, n: int, stream: RandomStream, method: str = "fast") -> np.ndarray:

@@ -15,10 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .condmoments import EstimationError
 from .distributions import AlternativeSpec, LevyParams, sample_alternative, sample_levy
-from .special import normal_cdf
 from .statistics import StatisticSpec, evaluate, evaluate_batch
 from .streams import RandomStream
 
@@ -270,7 +270,7 @@ def normality_diagnostic(spec: StatisticSpec, n: int, plan: ReplicationPlan,
     std = float(nd.values.std())
     counts, edges = np.histogram(nd.values, bins=bins)
     z = np.sort((nd.values - mean) / std)
-    cdf = normal_cdf(z)
+    cdf = ndtr(z)
     b = z.size
     i = np.arange(1, b + 1)
     ks = float(np.max(np.maximum(i / b - cdf, cdf - (i - 1) / b)))

@@ -26,6 +26,15 @@ class TestLevyKernel:
         for prob in (0.1, 0.5, 0.9):
             assert levy_cdf(levy_quantile(prob, p), p) == pytest.approx(prob, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_quantile_roundtrip_relative(self, c):
+        # Relative, not absolute: the CDF is tiny in the lower tail, so only a
+        # relative bound sees a cancelling form such as 2 - 2*Phi(sqrt(c/t)).
+        p = LevyParams(c=c)
+        prob = np.concatenate([np.logspace(-15, -1, 57), np.linspace(0.1, 0.999, 50)])
+        back = levy_cdf(levy_quantile(prob, p), p)
+        assert np.max(np.abs(back - prob) / prob) < 1e-13
+
     def test_quantile_median(self):
         assert levy_quantile(0.5, LevyParams()) == pytest.approx(2.198109, abs=1e-6)
 
