@@ -10,10 +10,9 @@ import json
 
 import numpy as np
 
-from levygof.condmoments import (QuantileSplit, theoretical_qcm, theoretical_qcv,
-                                 window_mean, window_var)
+from levygof.condmoments import QuantileSplit
 from levygof.distributions import LevyParams, sample_levy
-from levygof.estimators import cov, mle
+from levygof.estimators import cov, mle, qcm, qcv
 from levygof.streams import RandomStream
 
 # Windows used for the estimator comparison study.
@@ -25,8 +24,8 @@ def estimates(x):
     """The four scale estimates of each row of x, keyed by method."""
     xs = np.sort(x, axis=1)
     return {
-        "QCM": window_mean(xs, QCM_SPLIT) / theoretical_qcm(QCM_SPLIT, 1.0),
-        "QCV": np.sqrt(window_var(xs, QCV_SPLIT) / theoretical_qcv(QCV_SPLIT, 1.0)),
+        "QCM": qcm(xs, QCM_SPLIT),
+        "QCV": qcv(xs, QCV_SPLIT),
         "MLE": mle(x),
         "COV": cov(x),
     }

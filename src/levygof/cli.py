@@ -17,8 +17,7 @@ from .condmoments import QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
 from .distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec, LevyParams,
                             levy_cdf, sample_alternative, sample_levy)
-from .estimators import (EstimationError, estimate_cov, estimate_mle, estimate_qcm,
-                         estimate_qcv)
+from .estimators import METHODS, EstimationError, estimate
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic,
                          p_value, power_study, run_test, simulate_null)
 from .statistics import STATISTIC_KINDS, StatisticSpec, evaluate
@@ -110,9 +109,15 @@ def read_observations(path: str, column: int | None = None) -> np.ndarray:
 
 def _load_data(args) -> np.ndarray:
     if args.fixture is not None:
+        if args.input is not None:
+            raise UsageError("give --input or --fixture, not both")
+        if args.column is not None:
+            raise UsageError("--column applies to --input only")
         return fixture_analysis(args.fixture)
     if args.input is None:
         raise UsageError("provide --input FILE or --fixture NAME")
+    if args.column is not None and args.column < 0:
+        raise UsageError(f"bad --column {args.column}: column must be >= 0")
     return read_observations(args.input, args.column)
 
 
@@ -190,17 +195,15 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_estimate(args, emit: Emitter) -> int:
-    data = _load_data(args)
-    method = args.method.lower()
-    if method in ("qcm", "qcv"):
-        est = (estimate_qcm if method == "qcm" else estimate_qcv)(
-            data, *([_parse_split(args.split)] if args.split else []))
-    elif method not in ("mle", "cov"):
-        raise UsageError(f"unknown method {args.method!r}")
-    elif args.split:
+    method = METHODS.get(args.method.lower())
+    if method is None:
+        raise UsageError(f"unknown --method {args.method!r}; expected one of "
+                         f"{', '.join(METHODS)}")
+    if args.split and method.split is None:
         raise UsageError(f"--split does not apply to --method {args.method}")
-    else:
-        est = (estimate_mle if method == "mle" else estimate_cov)(data)
+    split = _parse_split(args.split) if args.split else None
+    data = _load_data(args)
+    est = estimate(args.method, data, split)
     rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}
     if est.split is not None:
         rec["split"] = [est.split.a, est.split.b]
@@ -211,8 +214,8 @@ def cmd_estimate(args, emit: Emitter) -> int:
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
     if args.all:
-        if args.split or args.split2:
-            raise UsageError("--split/--split2 do not apply to --all")
+        if args.stat or args.split or args.split2:
+            raise UsageError("--stat/--split/--split2 do not apply to --all")
         specs = tuple(StatisticSpec(kind) for kind in ALL_TEST_KINDS)
     elif args.stat:
         specs = (_stat_spec(args),)
@@ -249,6 +252,8 @@ def _check_level(args) -> None:
 
 
 def _n_values(args) -> list[int]:
+    if args.n_grid and args.n is not None:
+        raise UsageError("give --n or --n-grid, not both")
     if args.n_grid:
         try:
             return [int(v) for v in args.n_grid.split(",")]
@@ -303,7 +308,7 @@ def cmd_diagnose(args, emit: Emitter) -> int:
 
 def cmd_ppplot(args, emit: Emitter) -> int:
     data = _load_data(args)
-    c_hat = estimate_mle(data).value
+    c_hat = estimate("mle", data).value
     emit.comment(f"fitted with MLE scale estimate c = {c_hat:.6g}")
     xs = np.sort(data)
     n = xs.size
@@ -401,10 +406,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    out = open(args.out, "w") if args.out else sys.stdout
-    emit = Emitter(out, args.table)
+    out = sys.stdout
     try:
-        code = args.func(args, emit)
+        # Opened inside the try: an unwritable --out is a data error (exit 3).
+        if args.out:
+            out = open(args.out, "w")
+        code = args.func(args, Emitter(out, args.table))
     except tuple(ERROR_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         code = next(c for cls, c in ERROR_EXIT_CODES.items() if isinstance(e, cls))

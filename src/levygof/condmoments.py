@@ -1,14 +1,16 @@
 """Quantile conditional moments of the one-sided Levy law.
 
 Closed forms for the conditional mean and variance on a quantile window,
-row-wise order-statistic window kernels (one sample or a (B, n) batch), and
-an independent adaptive-quadrature oracle used to validate the closed forms.
+row-wise order-statistic window kernels on sorted rows (one sample or a
+(B, n) batch), and an independent adaptive-quadrature oracle used to
+validate the closed forms. The scale estimators and statistics built on the
+kernels live in `estimators` and `statistics`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf, erfcinv
@@ -18,12 +20,9 @@ from .distributions import LevyParams, levy_pdf, levy_quantile
 __all__ = [
     "EstimationError",
     "QuantileSplit",
-    "Sample",
     "theoretical_qcm",
     "theoretical_qcv",
     "qcmoment_quadrature_oracle",
-    "sample_qcm",
-    "sample_qcv",
     "window_bound",
     "window_indices",
     "window_mean",
@@ -55,25 +54,14 @@ class QuantileSplit:
             raise ValueError("theoretical moments require b < 1")
 
 
-class Sample:
-    """Observation vector with a cached order-statistic view."""
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size < 1:
-            raise ValueError("sample must contain at least one observation")
-        if np.any(~np.isfinite(arr)):
-            raise ValueError("sample contains non-finite values")
-        self.values = arr
-        self.n = arr.size
-
-    @cached_property
-    def sorted_view(self) -> np.ndarray:
-        return np.sort(self.values)
-
-
-def _as_sample(s) -> Sample:
-    return s if isinstance(s, Sample) else Sample(s)
+def _values(sample) -> np.ndarray:
+    """One sample as a flat float array; it must be nonempty and finite."""
+    x = np.asarray(sample, dtype=float).ravel()
+    if x.size < 1:
+        raise ValueError("sample must contain at least one observation")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample contains non-finite values")
+    return x
 
 
 def _exp_over(u: float, power: int) -> float:
@@ -183,12 +171,3 @@ def window_var(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """Windowed variance of sorted rows, with divisor equal to the window size."""
     return _window(xs, split, 2).var(axis=-1)
 
-
-def sample_qcm(s, split: QuantileSplit) -> float:
-    """Windowed mean of one sample; see `window_mean`."""
-    return float(window_mean(_as_sample(s).sorted_view, split))
-
-
-def sample_qcv(s, split: QuantileSplit) -> float:
-    """Windowed variance of one sample; see `window_var`."""
-    return float(window_var(_as_sample(s).sorted_view, split))

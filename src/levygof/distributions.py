@@ -54,9 +54,13 @@ def levy_pdf(x, p: LevyParams = LevyParams()):
     x = np.atleast_1d(x)
     out = np.zeros_like(x)
     pos = x > p.mu
-    if np.any(pos):
-        t = x[pos] - p.mu
-        out[pos] = np.sqrt(p.c / (2.0 * np.pi)) * t ** -1.5 * np.exp(-p.c / (2.0 * t))
+    t = x[pos] - p.mu
+    e = np.exp(-p.c / (2.0 * t))
+    # The density is 0 where the exponential underflows (t < c/1490); below
+    # t = 3.1e-206, t**-1.5 would also overflow and the product be inf * 0.
+    live = e > 0.0
+    pos[pos] = live
+    out[pos] = np.sqrt(p.c / (2.0 * np.pi)) * t[live] ** -1.5 * e[live]
     return float(out[0]) if scalar else out
 
 

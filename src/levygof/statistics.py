@@ -12,8 +12,9 @@ Six scale-ratio / characterization statistics:
 * ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
             row from prefix sums of the sorted row.
 
-Scalar entry points raise on precondition violations; the ``evaluate_batch``
-path marks failed replicates as NaN so Monte Carlo callers can apply their own
+``evaluate(spec, sample)`` is the scalar path: the one-row case of
+``evaluate_batch``, raising on precondition violations. ``evaluate_batch``
+marks failed replicates as NaN so Monte Carlo callers can apply their own
 failure policy.
 """
 from __future__ import annotations
@@ -23,19 +24,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import (EstimationError, QuantileSplit, _as_sample, theoretical_qcm,
+from .condmoments import (EstimationError, QuantileSplit, _values, theoretical_qcm,
                           theoretical_qcv, window_bound, window_indices, window_mean, window_var)
 from .estimators import cov, mle
 
 __all__ = [
     "StatisticSpec",
     "STATISTIC_KINDS",
-    "stat_vn",
-    "stat_on",
-    "stat_tn",
-    "stat_cn",
-    "stat_ran",
-    "stat_deltan",
     "evaluate",
     "evaluate_batch",
 ]
@@ -191,33 +186,10 @@ def evaluate_batch(spec: StatisticSpec, x: np.ndarray) -> np.ndarray:
 
 def evaluate(spec: StatisticSpec, sample) -> float:
     """Scalar statistic; raises EstimationError on precondition failure."""
-    val = evaluate_batch(spec, _as_sample(sample).values[None, :])[0]
+    val = evaluate_batch(spec, _values(sample)[None, :])[0]
     if not np.isfinite(val):
         raise EstimationError(
             f"statistic {spec.kind} undefined on this sample "
             "(nonpositive data, degenerate window, or bad covariance)")
     return float(val)
 
-
-def stat_vn(sample) -> float:
-    return evaluate(StatisticSpec("vn"), sample)
-
-
-def stat_on(sample, spec: StatisticSpec | None = None) -> float:
-    return evaluate(spec or StatisticSpec("on"), sample)
-
-
-def stat_tn(sample, spec: StatisticSpec | None = None) -> float:
-    return evaluate(spec or StatisticSpec("tn"), sample)
-
-
-def stat_cn(sample, spec: StatisticSpec | None = None) -> float:
-    return evaluate(spec or StatisticSpec("cn"), sample)
-
-
-def stat_ran(sample, tuning: float = RAN_TUNING_DEFAULT) -> float:
-    return evaluate(StatisticSpec("ran", tuning=tuning), sample)
-
-
-def stat_deltan(sample) -> float:
-    return evaluate(StatisticSpec("deltan"), sample)

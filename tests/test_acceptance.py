@@ -10,12 +10,10 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levygof.condmoments import (QuantileSplit, qcmoment_quadrature_oracle,
-                                 theoretical_qcm, theoretical_qcv,
-                                 theoretical_second_moment, window_mean,
-                                 window_var)
+                                 theoretical_qcm, theoretical_second_moment)
 from levygof.datasets import fixture_analysis
 from levygof.distributions import AlternativeSpec, LevyParams, sample_levy
-from levygof.estimators import cov, mle
+from levygof.estimators import cov, mle, qcm, qcv
 from levygof.montecarlo import ReplicationPlan, p_value, power_study, simulate_null
 from levygof.statistics import StatisticSpec, evaluate, evaluate_batch
 from levygof.streams import RandomStream
@@ -127,9 +125,7 @@ def _estimator_matrix(n, replicates, c=2.0, qcm_split=QCM_BOXPLOT_SPLIT):
     for i in range(replicates):
         rows[i] = sample_levy(LevyParams(c=c), n, RandomStream(SEED + 1, i))
     xs = np.sort(rows, axis=1)
-    qcm = window_mean(xs, qcm_split) / theoretical_qcm(qcm_split, 1.0)
-    qcv = np.sqrt(window_var(xs, QCV_SPLIT) / theoretical_qcv(QCV_SPLIT, 1.0))
-    return np.column_stack([qcm, qcv, mle(rows), cov(rows)])
+    return np.column_stack([qcm(xs, qcm_split), qcv(xs, QCV_SPLIT), mle(rows), cov(rows)])
 
 
 @pytest.mark.slow

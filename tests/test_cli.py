@@ -243,12 +243,27 @@ class TestOtherCommands:
         (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"), "b < 1"),
         (("estimate", "--method", "mle", "--split", "0,0.5", "--fixture", "vessels"),
          "--split"),
+        (("estimate", "--method", "median", "--fixture", "vessels"), "--method"),
+        (("test", "--all", "--stat", "vn", "--fixture", "rainfall", "--replicates", "100"),
+         "--stat"),
+        (("calibrate", "--stat", "vn", "--n", "20", "--n-grid", "50", "--replicates", "100"),
+         "--n-grid"),
+        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "20", "--n-grid", "50",
+          "--replicates", "100"), "--n-grid"),
+        (("diagnose", "--stat", "vn", "--n", "20", "--n-grid", "50", "--replicates", "1000"),
+         "--n-grid"),
+        (("estimate", "--method", "mle", "--input", "data.txt", "--fixture", "rainfall"),
+         "--fixture"),
+        (("estimate", "--method", "mle", "--column", "1", "--fixture", "rainfall"), "--column"),
+        (("estimate", "--method", "mle", "--input", "data.csv", "--column", "-1"), "--column"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
             "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-n-0",
             "sample-seed-negative",
-            "qcm-split-to-1", "mle-with-split"])
+            "qcm-split-to-1", "mle-with-split", "unknown-method", "test-all-with-stat",
+            "calibrate-n-and-n-grid", "power-n-and-n-grid", "diagnose-n-and-n-grid",
+            "input-and-fixture", "column-with-fixture", "column-negative"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")
@@ -259,6 +274,20 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert needle in lines[0]
+
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "--out", str(tmp_path / "missing" / "x.jsonl"),
+                             "estimate", "--method", "mle", "--fixture", "rainfall")
+        assert code == EXIT_DATA
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "x.jsonl" in lines[0]
+
+    def test_method_in_any_case(self, capsys):
+        code, out, _ = run(capsys, "estimate", "--method", "QcV", "--fixture", "vessels")
+        assert code == EXIT_OK
+        assert records(out)[0]["method"] == "QCV"
 
     def test_diagnose_has_no_level_flag(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--n", "20",

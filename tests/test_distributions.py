@@ -52,6 +52,14 @@ class TestLevyKernel:
     def test_pdf_outside_support(self):
         assert levy_pdf(-1.0, LevyParams()) == 0.0
 
+    def test_pdf_is_zero_next_to_the_support_edge(self):
+        # t**-1.5 overflows below t = 3.1e-206 while exp(-c/(2t)) underflows;
+        # the density there is 0, not inf * 0 (a RuntimeWarning fails the test).
+        out = levy_pdf(np.array([1e-300, 1e-210, 1e-3]), LevyParams())
+        assert out[0] == 0.0 and out[1] == 0.0
+        assert out[2] == pytest.approx(np.sqrt(0.5 / np.pi) * 1e-3**-1.5 * np.exp(-500.0),
+                                       rel=1e-13)
+
     def test_pdf_integrates_to_cdf(self):
         p = LevyParams(c=1.3)
         t = levy_quantile(0.99, p)

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
 from levygof.estimators import EstimationError, mle
-from levygof.statistics import (StatisticSpec, evaluate, evaluate_batch,
-                                stat_cn, stat_deltan, stat_on, stat_ran,
-                                stat_tn, stat_vn)
+from levygof.statistics import STATISTIC_KINDS, StatisticSpec, evaluate, evaluate_batch
 from levygof.streams import RandomStream
 
 SAMPLE = sample_levy(LevyParams(c=3.0), 60, RandomStream(17))
 
-ALL_STATS = [stat_vn, stat_on, stat_tn, stat_cn, stat_ran, stat_deltan]
+ALL_SPECS = [StatisticSpec(kind) for kind in STATISTIC_KINDS]
+CN = StatisticSpec("cn")
 
 
 class TestSpec:
@@ -87,18 +86,20 @@ class TestInvariance:
     @settings(max_examples=40, deadline=None)
     @given(lam=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, lam):
-        for stat in ALL_STATS:
-            assert stat(lam * SAMPLE) == pytest.approx(stat(SAMPLE), rel=1e-10, abs=1e-10)
+        for spec in ALL_SPECS:
+            assert evaluate(spec, lam * SAMPLE) == pytest.approx(evaluate(spec, SAMPLE),
+                                                                 rel=1e-10, abs=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(mu=st.floats(min_value=-1e3, max_value=1e3))
     def test_cn_location_invariance(self, mu):
-        assert stat_cn(SAMPLE + mu) == pytest.approx(stat_cn(SAMPLE), rel=1e-10, abs=1e-10)
+        assert evaluate(CN, SAMPLE + mu) == pytest.approx(evaluate(CN, SAMPLE),
+                                                          rel=1e-10, abs=1e-10)
 
     def test_cn_accepts_nonpositive_data(self):
         # Location invariance means negative observations are legitimate.
         shifted = SAMPLE - SAMPLE.max()
-        assert np.isfinite(stat_cn(shifted))
+        assert np.isfinite(evaluate(CN, shifted))
 
 
 class TestScalarVsBatch:
@@ -124,9 +125,9 @@ class TestScalarVsBatch:
     def test_scalar_raises_on_bad_sample(self):
         bad = SAMPLE[:40].copy()
         bad[0] = -2.0
-        for stat in (stat_vn, stat_on, stat_tn, stat_ran, stat_deltan):
+        for kind in ("vn", "on", "tn", "ran", "deltan"):
             with pytest.raises(EstimationError):
-                stat(bad)
+                evaluate(StatisticSpec(kind), bad)
 
 
 class TestNullBehaviour:
@@ -146,7 +147,7 @@ class TestNullBehaviour:
 
     def test_constant_sample_fails_cn(self):
         with pytest.raises(EstimationError):
-            stat_cn([1.0] * 30)
+            evaluate(CN, [1.0] * 30)
 
 
 # Dense O(B n^2) forms of the ran and deltan kernels: reference oracles for
