@@ -43,39 +43,68 @@ class UsageError(Exception):
 
 
 # Checked in order. A failed precondition of the data or the statistic is an
-# EstimationError; any other ValueError comes from a bad argument value.
+# EstimationError; any other ValueError comes from a bad argument value, and
+# so does an allocation that NumPy refuses (a --n or --replicates too large).
 ERROR_EXIT_CODES = {
     UsageError: EXIT_USAGE,
     DataError: EXIT_DATA,
     OSError: EXIT_DATA,
     EstimationError: EXIT_ESTIMATION,
     ValueError: EXIT_USAGE,
+    MemoryError: EXIT_USAGE,
 }
 
 
-def _parse_split(text: str) -> QuantileSplit:
-    try:
-        a, b = (float(v) for v in text.split(","))
-        return QuantileSplit(a, b)
-    except ValueError as e:
-        raise UsageError(f"bad --split value {text!r}: {e}")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line (a UsageError), not a usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _parse_alt(text: str, flag: str = "--alt") -> AlternativeSpec:
+def _typed(parse):
+    """An argparse `type=`: a ValueError of `parse` reads `argument --X: bad value 'text': why`."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {e}")
+    return convert
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _split(text: str) -> QuantileSplit:
+    a, b = _floats(text)
+    return QuantileSplit(a, b)
+
+
+def _alt(text: str) -> AlternativeSpec:
     """family:p1,p2 or family (no parameters)."""
     fam, _, ptext = text.partition(":")
-    try:
-        params = tuple(float(v) for v in ptext.split(",")) if ptext else ()
-        return AlternativeSpec(fam, params)
-    except ValueError as e:
-        raise UsageError(f"bad {flag} value {text!r}: {e}")
+    return AlternativeSpec(fam, _floats(ptext) if ptext else ())
 
 
-def _plan(args) -> ReplicationPlan:
-    try:
-        return ReplicationPlan(args.seed, args.replicates, args.workers)
-    except ValueError as e:
-        raise UsageError(f"bad --seed, --replicates or --workers: {e}")
+def _level(text: str) -> float:
+    level = float(text)
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    return level
+
+
+def _seed(text: str) -> int:
+    return RandomStream(int(text)).master_seed
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return _typed(parse)
 
 
 def read_observations(path: str, column: int | None = None) -> np.ndarray:
@@ -108,17 +137,11 @@ def read_observations(path: str, column: int | None = None) -> np.ndarray:
 
 
 def _load_data(args) -> np.ndarray:
-    if args.fixture is not None:
-        if args.input is not None:
-            raise UsageError("give --input or --fixture, not both")
-        if args.column is not None:
-            raise UsageError("--column applies to --input only")
-        return fixture_analysis(args.fixture)
-    if args.input is None:
-        raise UsageError("provide --input FILE or --fixture NAME")
-    if args.column is not None and args.column < 0:
-        raise UsageError(f"bad --column {args.column}: column must be >= 0")
-    return read_observations(args.input, args.column)
+    if args.fixture is None:
+        return read_observations(args.input, args.column)
+    if args.column is not None:
+        raise UsageError("--column applies to --input only")
+    return fixture_analysis(args.fixture)
 
 
 def _jsonable(v):
@@ -168,26 +191,29 @@ class Emitter:
 
 
 def _stat_spec(args) -> StatisticSpec:
-    if args.stat is None:
-        raise UsageError("provide --stat KIND")
-    splits = [_parse_split(text) for text in (args.split, args.split2) if text]
     try:
-        return StatisticSpec(args.stat, tuple(splits))
+        return StatisticSpec(args.stat, tuple(s for s in (args.split, args.split2) if s))
     except ValueError as e:
         raise UsageError(f"bad --split/--split2 for --stat {args.stat}: {e}")
 
 
 def cmd_sample(args, emit: Emitter) -> int:
-    try:
-        stream = RandomStream(args.seed, 0)
-    except ValueError as e:
-        raise UsageError(f"bad --seed: {e}")
+    stream = RandomStream(args.seed, 0)
     if args.dist == "levy":
-        draws = sample_levy(LevyParams(c=args.c, mu=args.mu), args.n, stream)
+        if args.params is not None:
+            raise UsageError("--dist levy takes no --params")
+        c, mu = (1.0 if args.c is None else args.c), (0.0 if args.mu is None else args.mu)
+        draws = sample_levy(LevyParams(c=c, mu=mu), args.n, stream)
     else:
         if args.params is None:
             raise UsageError(f"--dist {args.dist} requires --params")
-        spec = _parse_alt(f"{args.dist}:{args.params}", "--dist/--params")
+        for flag in ("c", "mu"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--dist {args.dist} takes no --{flag}")
+        try:
+            spec = AlternativeSpec(args.dist, args.params)
+        except ValueError as e:
+            raise UsageError(f"bad --params for --dist {args.dist}: {e}")
         draws = sample_alternative(spec, args.n, stream)
     for v in draws:
         print(format(v, ".17g"), file=emit.out)
@@ -195,15 +221,10 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_estimate(args, emit: Emitter) -> int:
-    method = METHODS.get(args.method.lower())
-    if method is None:
-        raise UsageError(f"unknown --method {args.method!r}; expected one of "
-                         f"{', '.join(METHODS)}")
-    if args.split and method.split is None:
+    if args.split and METHODS[args.method].split is None:
         raise UsageError(f"--split does not apply to --method {args.method}")
-    split = _parse_split(args.split) if args.split else None
     data = _load_data(args)
-    est = estimate(args.method, data, split)
+    est = estimate(args.method, data, args.split)
     rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}
     if est.split is not None:
         rec["split"] = [est.split.a, est.split.b]
@@ -214,15 +235,12 @@ def cmd_estimate(args, emit: Emitter) -> int:
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
     if args.all:
-        if args.stat or args.split or args.split2:
-            raise UsageError("--stat/--split/--split2 do not apply to --all")
+        if args.split or args.split2:
+            raise UsageError("--split/--split2 do not apply to --all")
         specs = tuple(StatisticSpec(kind) for kind in ALL_TEST_KINDS)
-    elif args.stat:
-        specs = (_stat_spec(args),)
     else:
-        raise UsageError("provide --stat KIND or --all")
-    _check_level(args)
-    plan = _plan(args)
+        specs = (_stat_spec(args),)
+    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     failures = 0
     bound = 1.0 / (plan.replicates + 1)
     for spec, rep in zip(specs, run_test(specs, data, args.level, plan)):
@@ -246,29 +264,10 @@ def cmd_test(args, emit: Emitter) -> int:
     return EXIT_ESTIMATION if failures == len(specs) else EXIT_OK
 
 
-def _check_level(args) -> None:
-    if not 0.0 < args.level < 1.0:
-        raise UsageError(f"bad --level {args.level}: level must be in (0, 1)")
-
-
-def _n_values(args) -> list[int]:
-    if args.n_grid and args.n is not None:
-        raise UsageError("give --n or --n-grid, not both")
-    if args.n_grid:
-        try:
-            return [int(v) for v in args.n_grid.split(",")]
-        except ValueError as e:
-            raise UsageError(f"bad --n-grid value {args.n_grid!r}: {e}")
-    if args.n is None:
-        raise UsageError("provide --n or --n-grid")
-    return [args.n]
-
-
 def cmd_calibrate(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
-    _check_level(args)
-    plan = _plan(args)
-    for n in _n_values(args):
+    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+    for n in args.n_grid or [args.n]:
         (nd,) = simulate_null((spec,), n, plan)
         lower, upper = calibrate(nd, args.level)
         emit.record({"stat": spec.kind, "n": n, "level": args.level,
@@ -279,12 +278,10 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 
 def cmd_power(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
-    alt = _parse_alt(args.alt)
-    _check_level(args)
-    plan = _plan(args)
-    for n in _n_values(args):
-        (cell,) = power_study(simulate_null((spec,), n, plan), alt, args.level)
-        emit.record({"stat": cell.kind, "alt": alt.label(), "n": cell.n,
+    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+    for n in args.n_grid or [args.n]:
+        (cell,) = power_study(simulate_null((spec,), n, plan), args.alt, args.level)
+        emit.record({"stat": cell.kind, "alt": args.alt.label(), "n": cell.n,
                      "level": cell.level, "power": cell.power,
                      "std_error": cell.std_error, "replicates": cell.replicates,
                      "failed_replicates": cell.failed_replicates,
@@ -294,10 +291,9 @@ def cmd_power(args, emit: Emitter) -> int:
 
 def cmd_diagnose(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
-    if args.bins < 1:
-        raise UsageError(f"bad --bins {args.bins}: bins must be >= 1")
-    for n in _n_values(args):
-        rep = normality_diagnostic(spec, n, _plan(args), bins=args.bins)
+    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
+    for n in args.n_grid or [args.n]:
+        rep = normality_diagnostic(spec, n, plan, bins=args.bins)
         emit.record({"stat": rep.kind, "n": rep.n,
                      "fitted_mean": rep.fitted_mean, "fitted_std": rep.fitted_std,
                      "ks_distance": rep.ks_distance, "replicates": rep.replicates,
@@ -319,25 +315,34 @@ def cmd_ppplot(args, emit: Emitter) -> int:
 
 
 def _add_io_flags(p):
-    p.add_argument("--input", help="data file, one number per line ('-' for stdin)")
-    p.add_argument("--fixture", choices=sorted(FIXTURES), help="embedded dataset")
-    p.add_argument("--column", type=int, help="0-based CSV column to read")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--input", help="data file, one number per line ('-' for stdin)")
+    g.add_argument("--fixture", choices=sorted(FIXTURES), help="embedded dataset")
+    p.add_argument("--column", type=_at_least(0), help="0-based CSV column to read")
 
 
 def _add_mc_flags(p):
-    p.add_argument("--replicates", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="advisory worker count")
+    p.add_argument("--replicates", type=_at_least(1), default=10000)
+    p.add_argument("--seed", type=_typed(_seed), default=0)
+    p.add_argument("--workers", type=_at_least(1), default=1, help="advisory worker count")
 
 
-def _add_stat_flags(p):
-    p.add_argument("--stat", choices=STATISTIC_KINDS)
-    p.add_argument("--split", help="a,b window override")
-    p.add_argument("--split2", help="second a,b window (on/cn)")
+def _add_stat_flags(p, group=None):
+    # --stat is required unless it sits in a mutually exclusive `group`.
+    (group or p).add_argument("--stat", choices=STATISTIC_KINDS, required=group is None)
+    p.add_argument("--split", type=_typed(_split), help="a,b window override")
+    p.add_argument("--split2", type=_typed(_split), help="second a,b window (on/cn)")
+
+
+def _add_n_flags(p):
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--n", type=int)
+    g.add_argument("--n-grid", type=_typed(lambda text: [int(v) for v in text.split(",")]),
+                   help="comma-separated sample sizes")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="levygof",
         description="Scale estimation and goodness-of-fit tests for the one-sided Levy law.")
     ap.add_argument("--table", action="store_true", help="aligned human-readable output")
@@ -347,49 +352,48 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw from the Levy law or an alternative family")
     p.add_argument("--dist", required=True,
                    choices=("levy",) + tuple(sorted(ALTERNATIVE_FAMILIES)))
-    p.add_argument("--params", help="comma-separated family parameters")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.0)
+    p.add_argument("--params", type=_typed(_floats), help="comma-separated family parameters")
+    p.add_argument("--c", type=float, help="Levy scale (default 1)")
+    p.add_argument("--mu", type=float, help="Levy location (default 0)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_typed(_seed), default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("estimate", help="estimate the scale parameter")
-    p.add_argument("--method", required=True, help="mle|cov|qcm|qcv")
-    p.add_argument("--split", help="a,b window for qcm/qcv")
+    p.add_argument("--method", required=True, type=str.lower, choices=METHODS)
+    p.add_argument("--split", type=_typed(_split), help="a,b window for qcm/qcv")
     _add_io_flags(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("test", help="goodness-of-fit test(s) with simulated p-values")
-    _add_stat_flags(p)
-    p.add_argument("--all", action="store_true", help="run the full test battery")
+    g = p.add_mutually_exclusive_group(required=True)
+    _add_stat_flags(p, g)
+    g.add_argument("--all", action="store_true", help="run the full test battery")
     _add_io_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=_typed(_level), default=0.05)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("calibrate", help="simulated two-sided rejection thresholds")
     _add_stat_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-grid", help="comma-separated sample sizes")
+    _add_n_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=_typed(_level), default=0.05)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("power", help="empirical power against an alternative")
     _add_stat_flags(p)
-    p.add_argument("--alt", required=True, help="family:p1,p2,... e.g. lognormal:0,1")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-grid", help="comma-separated sample sizes")
+    p.add_argument("--alt", required=True, type=_typed(_alt),
+                   help="family:p1,p2,... e.g. lognormal:0,1")
+    _add_n_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--level", type=float, default=0.05)
+    p.add_argument("--level", type=_typed(_level), default=0.05)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("diagnose", help="normality diagnostics of a null law")
     _add_stat_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-grid", help="comma-separated sample sizes")
-    p.add_argument("--bins", type=int, default=50)
+    _add_n_flags(p)
+    p.add_argument("--bins", type=_at_least(1), default=50)
     _add_mc_flags(p)
     p.set_defaults(func=cmd_diagnose)
 
@@ -401,13 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     out = sys.stdout
     try:
+        args = build_parser().parse_args(argv)
         # Opened inside the try: an unwritable --out is a data error (exit 3).
         if args.out:
             out = open(args.out, "w")
@@ -415,6 +415,9 @@ def main(argv=None) -> int:
     except tuple(ERROR_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         code = next(c for cls, c in ERROR_EXIT_CODES.items() if isinstance(e, cls))
+    except SystemExit as e:
+        # --help exits the parser after printing usage; its errors are UsageErrors.
+        code = e.code
     finally:
         if out is not sys.stdout:
             out.close()

@@ -256,6 +256,15 @@ class TestOtherCommands:
          "--fixture"),
         (("estimate", "--method", "mle", "--column", "1", "--fixture", "rainfall"), "--column"),
         (("estimate", "--method", "mle", "--input", "data.csv", "--column", "-1"), "--column"),
+        (("sample", "--dist", "gamma", "--params", "2", "--n", "5"), "--params"),
+        (("sample", "--dist", "levy", "--params", "1,2", "--n", "2"), "--params"),
+        (("sample", "--dist", "gamma", "--params", "2,1", "--c", "5", "--mu", "3", "--n", "2"),
+         "--c"),
+        (("calibrate", "--stat", "nope", "--n", "20", "--replicates", "100"), "--stat"),
+        (("calibrate", "--stat", "vn", "--n", "x", "--replicates", "100"), "--n"),
+        (("nosuch",), "nosuch"),
+        (("estimate", "--method", "mle", "--fixture", "nope"), "--fixture"),
+        (("calibrate", "--stat", "vn", "--n", "20", "--frob", "1"), "--frob"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
@@ -263,7 +272,9 @@ class TestOtherCommands:
             "sample-seed-negative",
             "qcm-split-to-1", "mle-with-split", "unknown-method", "test-all-with-stat",
             "calibrate-n-and-n-grid", "power-n-and-n-grid", "diagnose-n-and-n-grid",
-            "input-and-fixture", "column-with-fixture", "column-negative"])
+            "input-and-fixture", "column-with-fixture", "column-negative",
+            "gamma-one-param", "levy-with-params", "gamma-with-c-and-mu", "stat-not-a-choice",
+            "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")
@@ -274,6 +285,25 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert needle in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("calibrate", "--stat", "vn", "--n", "20", "--replicates", str(10**15)),
+        ("sample", "--dist", "levy", "--n", str(10**15)),
+    ], ids=["calibrate-replicates", "sample-n"])
+    def test_impossible_allocation_is_usage_error(self, capsys, argv):
+        # 8 PB: NumPy refuses the array at once, before any memory is touched.
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Unable to allocate" in lines[0]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("calibrate", "--help")])
+    def test_help_exits_ok(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.startswith("usage: levygof") and err == ""
 
     def test_unwritable_out_is_data_error(self, tmp_path, capsys):
         code, out, err = run(capsys, "--out", str(tmp_path / "missing" / "x.jsonl"),

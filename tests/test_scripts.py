@@ -22,11 +22,10 @@ def run_script(name, *args):
     ("estimator_boxplots.py", ["--replicates", "0"], "replicates"),
     ("estimator_boxplots.py", ["--n-grid", "20,x"], "'x'"),
     ("estimator_boxplots.py", ["--n-grid", "1"], "n=1"),
-    ("normality_sweep.py", ["--replicates", "10"], "1000 replicates"),
     ("power_table.py", ["--replicates", "0"], "replicates"),
     ("power_table.py", ["--level", "2"], "level"),
 ], ids=["boxplots-replicates-0", "boxplots-n-grid-not-int", "boxplots-n-grid-1",
-        "sweep-replicates-10", "power-replicates-0", "power-level-2"])
+        "power-replicates-0", "power-level-2"])
 def test_bad_argument_is_usage_error(name, args, needle):
     done = run_script(name, *args)
     assert done.returncode == 2
@@ -38,7 +37,6 @@ def test_bad_argument_is_usage_error(name, args, needle):
 
 @pytest.mark.parametrize("name, args, records", [
     ("estimator_boxplots.py", ["--replicates", "50", "--n-grid", "10,20"], 8),
-    ("normality_sweep.py", ["--stats", "vn", "--n-grid", "20", "--replicates", "1000"], 1),
     ("power_table.py", ["--stats", "vn", "--n-grid", "20", "--replicates", "100"], 12),
 ])
 def test_valid_arguments_print_records(name, args, records):
