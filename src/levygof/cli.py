@@ -18,9 +18,9 @@ from .datasets import FIXTURES, fixture_analysis
 from .distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec, LevyParams,
                             levy_cdf, sample_alternative, sample_levy)
 from .estimators import METHODS, EstimationError, estimate
-from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic,
-                         p_value, power_study, run_test, simulate_null)
-from .statistics import STATISTIC_KINDS, StatisticSpec, evaluate
+from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic, power_study,
+                         run_test, simulate_null)
+from .statistics import STATISTIC_KINDS, StatisticSpec
 from .streams import RandomStream
 
 __all__ = ["main"]
@@ -197,6 +197,14 @@ def _stat_spec(args) -> StatisticSpec:
         raise UsageError(f"bad --split/--split2 for --stat {args.stat}: {e}")
 
 
+def _sizes(args, spec: StatisticSpec) -> list[int]:
+    """The --n or --n-grid sizes, all checked before the first one is simulated."""
+    sizes = args.n_grid or [args.n]
+    for n in sizes:
+        spec.check_n(n)
+    return sizes
+
+
 def cmd_sample(args, emit: Emitter) -> int:
     stream = RandomStream(args.seed, 0)
     if args.dist == "levy":
@@ -267,7 +275,7 @@ def cmd_test(args, emit: Emitter) -> int:
 def cmd_calibrate(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for n in args.n_grid or [args.n]:
+    for n in _sizes(args, spec):
         (nd,) = simulate_null((spec,), n, plan)
         lower, upper = calibrate(nd, args.level)
         emit.record({"stat": spec.kind, "n": n, "level": args.level,
@@ -279,7 +287,7 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 def cmd_power(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for n in args.n_grid or [args.n]:
+    for n in _sizes(args, spec):
         (cell,) = power_study(simulate_null((spec,), n, plan), args.alt, args.level)
         emit.record({"stat": cell.kind, "alt": args.alt.label(), "n": cell.n,
                      "level": cell.level, "power": cell.power,
@@ -292,7 +300,7 @@ def cmd_power(args, emit: Emitter) -> int:
 def cmd_diagnose(args, emit: Emitter) -> int:
     spec = _stat_spec(args)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for n in args.n_grid or [args.n]:
+    for n in _sizes(args, spec):
         rep = normality_diagnostic(spec, n, plan, bins=args.bins)
         emit.record({"stat": rep.kind, "n": rep.n,
                      "fitted_mean": rep.fitted_mean, "fitted_std": rep.fitted_std,

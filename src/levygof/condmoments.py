@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, erfcinv
 
 from .distributions import LevyParams, levy_pdf, levy_quantile
 
@@ -77,6 +76,10 @@ def theoretical_qcm(split: QuantileSplit, c: float = 1.0) -> float:
 
     Cached: the statistics divide every batch by the same few constants.
     """
+    # scipy is imported where it is used: importing levygof loads no scipy
+    # module, and scipy.special alone would double the CLI's start-up time.
+    from scipy.special import erfcinv
+
     split.require_open_top()
     if c <= 0.0:
         raise ValueError("scale c must be > 0")
@@ -87,6 +90,8 @@ def theoretical_qcm(split: QuantileSplit, c: float = 1.0) -> float:
 
 def _second_moment_antiderivative(u: float) -> float:
     # Antiderivative of exp(-u^2)/u^4 scaled into the second-moment substitution.
+    from scipy.special import erf
+
     if not np.isfinite(u):
         return 2.0 * _SQRT_PI / 3.0
     e = float(np.exp(-u * u))
@@ -95,6 +100,8 @@ def _second_moment_antiderivative(u: float) -> float:
 
 def theoretical_second_moment(split: QuantileSplit, c: float = 1.0) -> float:
     """Conditional second moment of Lv(c) on the window; quadratic in c."""
+    from scipy.special import erfcinv
+
     split.require_open_top()
     if c <= 0.0:
         raise ValueError("scale c must be > 0")
@@ -117,7 +124,6 @@ class QuadratureError(RuntimeError):
 
 def qcmoment_quadrature_oracle(split: QuantileSplit, c: float = 1.0, order: int = 1) -> float:
     """E[X^order | window] by adaptive quadrature; independent of the closed forms."""
-    # Imported here: scipy.integrate is most of the package's import time.
     from scipy.integrate import quad
 
     split.require_open_top()

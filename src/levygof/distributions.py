@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from .streams import RandomStream
 
@@ -37,6 +36,8 @@ class LevyParams:
 
 def levy_cdf(x, p: LevyParams = LevyParams()):
     """CDF: 0 for x <= mu, else erfc(sqrt(c / (2 (x - mu))))."""
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -66,6 +67,8 @@ def levy_pdf(x, p: LevyParams = LevyParams()):
 
 def levy_quantile(prob, p: LevyParams = LevyParams()):
     """Quantile: mu + c / (2 erfcinv(prob)^2) for prob in (0, 1)."""
+    from scipy.special import erfcinv
+
     q = np.asarray(prob, dtype=float)
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise ValueError("quantile requires 0 < prob < 1")

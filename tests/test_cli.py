@@ -325,12 +325,16 @@ class TestOtherCommands:
         assert code == EXIT_USAGE
         assert out == ""
 
-    def test_import_leaves_out_quadrature(self):
-        code = "import sys, levygof.cli; print('scipy.integrate' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-                              check=True)
-        assert done.stdout.strip() == "False"
+    @pytest.mark.parametrize("cmd", ["calibrate", "power", "diagnose"])
+    def test_infeasible_grid_size_fails_before_the_first(self, capsys, cmd):
+        alt = ("--alt", "lognormal:0,1") if cmd == "power" else ()
+        code, out, err = run(capsys, cmd, "--stat", "vn", *alt, "--n-grid", "20,1",
+                             "--replicates", "1000")
+        assert code == EXIT_ESTIMATION
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "got 1" in lines[0]
 
     def test_infeasible_window_is_one_error_line(self, capsys):
         # Feasible at n = 5, but the second window is empty at n = 7.
@@ -341,3 +345,37 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "window (0.3, 0.4)" in lines[0]
+
+
+def run_in_subprocess(code, *argv):
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          check=True)
+
+
+# Runs the CLI on argv, then prints on stderr whether scipy.special was loaded.
+CLI_THEN_SPECIAL = ("import sys; from levygof.cli import main; code = main(sys.argv[1:]); "
+                    "print('scipy.special' in sys.modules, file=sys.stderr); sys.exit(code)")
+
+
+class TestStartup:
+    def test_import_leaves_out_scipy(self):
+        code = ("import sys, levygof.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert run_in_subprocess(code).stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--method", "mle", "--fixture", "rainfall"),
+        ("diagnose", "--stat", "ran", "--n", "50", "--replicates", "1000"),
+    ], ids=["estimate-mle", "diagnose-ran"])
+    def test_runs_without_special_functions(self, argv):
+        done = run_in_subprocess(CLI_THEN_SPECIAL, *argv)
+        assert len(records(done.stdout)) == 1
+        assert done.stderr.strip() == "False"
+
+    def test_battery_loads_special_functions_on_use(self):
+        done = run_in_subprocess(CLI_THEN_SPECIAL, "test", "--all", "--fixture", "rainfall",
+                                 "--replicates", "200")
+        recs = records(done.stdout)
+        assert [r["stat"] for r in recs] == ["vn", "tn", "on", "deltan", "ran"]
+        assert all(0.0 < r["p_value"] <= 1.0 for r in recs)

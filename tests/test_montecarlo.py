@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 import levygof.montecarlo as mc
@@ -195,3 +196,18 @@ class TestDiagnostics:
     def test_minimum_replicates(self):
         with pytest.raises(ValueError):
             normality_diagnostic(StatisticSpec("vn"), 100, plan(500))
+
+    def test_normal_cdf_matches_ndtr(self):
+        # scipy.special.ndtr is the reference the scipy-free CDF replaced.
+        z = np.linspace(-40.0, 40.0, 160001)
+        assert np.max(np.abs(mc._normal_cdf(z) - ndtr(z))) <= 2.3e-16
+
+    def test_ks_distance_matches_ndtr_reference(self):
+        spec, p = StatisticSpec("ran"), plan(1500, seed=6)
+        rep = normality_diagnostic(spec, 50, p)
+        (nd,) = simulate_null((spec,), 50, p)
+        z = np.sort((nd.values - nd.values.mean()) / nd.values.std())
+        cdf = ndtr(z)
+        i = np.arange(1, z.size + 1)
+        ks = np.max(np.maximum(i / z.size - cdf, cdf - (i - 1) / z.size))
+        assert abs(rep.ks_distance - ks) <= 1e-15
