@@ -1,7 +1,6 @@
 """Scale estimation and goodness-of-fit testing for the one-sided Levy law."""
 
-from .condmoments import (QuantileSplit, qcmoment_quadrature_oracle, theoretical_qcm,
-                          theoretical_qcv)
+from .condmoments import QuantileSplit, theoretical_qcm, theoretical_qcv
 from .datasets import fixture_analysis, fixture_raw
 from .distributions import (AlternativeSpec, LevyParams, levy_cdf, levy_pdf,
                             levy_quantile, sample_alternative, sample_levy)
@@ -16,7 +15,7 @@ from .streams import RandomStream
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuantileSplit", "qcmoment_quadrature_oracle", "theoretical_qcm", "theoretical_qcv",
+    "QuantileSplit", "theoretical_qcm", "theoretical_qcv",
     "fixture_analysis", "fixture_raw",
     "AlternativeSpec", "LevyParams", "levy_cdf", "levy_pdf", "levy_quantile",
     "sample_alternative", "sample_levy",

@@ -332,7 +332,9 @@ def _add_io_flags(p):
 def _add_mc_flags(p):
     p.add_argument("--replicates", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=_typed(_seed), default=0)
-    p.add_argument("--workers", type=_at_least(1), default=1, help="advisory worker count")
+    p.add_argument("--workers", type=_at_least(1), default=1,
+                   help="worker processes; capped at one per CPU core and per "
+                        "512-replicate chunk")
 
 
 def _add_stat_flags(p, group=None):

@@ -1,10 +1,9 @@
 """Quantile conditional moments of the one-sided Levy law.
 
 Closed forms for the conditional mean and variance on a quantile window,
-row-wise order-statistic window kernels on sorted rows (one sample or a
-(B, n) batch), and an independent adaptive-quadrature oracle used to
-validate the closed forms. The scale estimators and statistics built on the
-kernels live in `estimators` and `statistics`.
+and row-wise order-statistic window kernels on sorted rows (one sample or a
+(B, n) batch). The scale estimators and statistics built on the kernels live
+in `estimators` and `statistics`.
 """
 from __future__ import annotations
 
@@ -14,14 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import LevyParams, levy_pdf, levy_quantile
-
 __all__ = [
     "EstimationError",
     "QuantileSplit",
     "theoretical_qcm",
     "theoretical_qcv",
-    "qcmoment_quadrature_oracle",
     "window_bound",
     "window_indices",
     "window_mean",
@@ -63,6 +59,11 @@ def _values(sample) -> np.ndarray:
     return x
 
 
+def _check_scale(c: float) -> None:
+    if not np.isfinite(c) or c <= 0.0:
+        raise ValueError("scale c must be finite and > 0")
+
+
 def _exp_over(u: float, power: int) -> float:
     """exp(-u^2) / u^power with the u -> inf limit handled (a = 0 windows)."""
     if not np.isfinite(u):
@@ -81,8 +82,7 @@ def theoretical_qcm(split: QuantileSplit, c: float = 1.0) -> float:
     from scipy.special import erfcinv
 
     split.require_open_top()
-    if c <= 0.0:
-        raise ValueError("scale c must be > 0")
+    _check_scale(c)
     ga = erfcinv(split.a)
     gb = erfcinv(split.b)
     return c * ((_exp_over(gb, 1) - _exp_over(ga, 1)) / (_SQRT_PI * (split.b - split.a)) - 1.0)
@@ -103,8 +103,7 @@ def theoretical_second_moment(split: QuantileSplit, c: float = 1.0) -> float:
     from scipy.special import erfcinv
 
     split.require_open_top()
-    if c <= 0.0:
-        raise ValueError("scale c must be > 0")
+    _check_scale(c)
     ga = erfcinv(split.a)
     gb = erfcinv(split.b)
     num = _second_moment_antiderivative(ga) - _second_moment_antiderivative(gb)
@@ -116,28 +115,6 @@ def theoretical_qcv(split: QuantileSplit, c: float = 1.0) -> float:
     """Conditional variance of Lv(c) on the window; scales as c^2."""
     m1 = theoretical_qcm(split, c)
     return theoretical_second_moment(split, c) - m1 * m1
-
-
-class QuadratureError(RuntimeError):
-    pass
-
-
-def qcmoment_quadrature_oracle(split: QuantileSplit, c: float = 1.0, order: int = 1) -> float:
-    """E[X^order | window] by adaptive quadrature; independent of the closed forms."""
-    from scipy.integrate import quad
-
-    split.require_open_top()
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    p = LevyParams(c=c)
-    lo = 0.0 if split.a == 0.0 else float(levy_quantile(split.a, p))
-    hi = float(levy_quantile(split.b, p))
-    val, err = quad(lambda x: x**order * levy_pdf(x, p), lo, hi,
-                    epsabs=1e-12, epsrel=1e-12, limit=500)
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"quadrature did not converge: value={val!r} err={err!r} split={split}")
-    return val / (split.b - split.a)
 
 
 def window_indices(n: int, split: QuantileSplit) -> tuple[int, int]:

@@ -11,11 +11,9 @@ on real data:
 """
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-__all__ = ["FIXTURES", "fixture_raw", "fixture_analysis", "fixture_sha256"]
+__all__ = ["FIXTURES", "fixture_raw", "fixture_analysis"]
 
 _VESSELS = (
     274.00, 1.70, 871.00, 1311.00, 236.00, 458.00, 54.90, 1787.00, 0.75,
@@ -51,8 +49,3 @@ def fixture_analysis(name: str) -> np.ndarray:
     arr = np.array(raw)
     return 1.0 / arr if invert else arr
 
-
-def fixture_sha256(name: str) -> str:
-    """Digest of the canonical two-decimal rendering of the raw values."""
-    text = "\n".join(f"{v:.2f}" for v in fixture_raw(name))
-    return hashlib.sha256(text.encode()).hexdigest()

@@ -16,7 +16,6 @@ __all__ = [
     "levy_quantile",
     "sample_levy",
     "sample_alternative",
-    "alternative_cdf",
 ]
 
 
@@ -41,7 +40,7 @@ def levy_cdf(x, p: LevyParams = LevyParams()):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.zeros_like(x)
+    out = np.where(np.isnan(x), np.nan, 0.0)
     pos = x > p.mu
     if np.any(pos):
         out[pos] = erfc(np.sqrt(p.c / (2.0 * (x[pos] - p.mu))))
@@ -53,7 +52,7 @@ def levy_pdf(x, p: LevyParams = LevyParams()):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    out = np.zeros_like(x)
+    out = np.where(np.isnan(x), np.nan, 0.0)
     pos = x > p.mu
     t = x[pos] - p.mu
     e = np.exp(-p.c / (2.0 * t))
@@ -70,29 +69,18 @@ def levy_quantile(prob, p: LevyParams = LevyParams()):
     from scipy.special import erfcinv
 
     q = np.asarray(prob, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    if not np.all((q > 0.0) & (q < 1.0)):  # NaN fails both comparisons
         raise ValueError("quantile requires 0 < prob < 1")
     return p.mu + p.c / (2.0 * erfcinv(q) ** 2)
 
 
-def sample_levy(p: LevyParams, n: int, stream: RandomStream, method: str = "fast") -> np.ndarray:
-    """Draw n i.i.d. values from Lv(mu, c).
-
-    method="fast": mu + c / Z^2 with Z standard normal (exact in law).
-    method="inverse": quantile transform of uniforms; the slow reference path.
-    """
+def sample_levy(p: LevyParams, n: int, stream: RandomStream) -> np.ndarray:
+    """Draw n i.i.d. values from Lv(mu, c) as mu + c / Z^2, Z standard normal
+    (exact in law)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = stream.generator()
-    if method == "fast":
-        z = rng.standard_normal(n)
-        return p.mu + p.c / (z * z)
-    if method == "inverse":
-        u = rng.random(n)
-        # Guard the open-interval requirement of the quantile map.
-        u = np.clip(u, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
-        return levy_quantile(u, p)
-    raise ValueError(f"unknown sampling method: {method!r}")
+    z = stream.generator().standard_normal(n)
+    return p.mu + p.c / (z * z)
 
 
 # Alternative families: name -> (parameter count, sampler).
@@ -204,41 +192,3 @@ def sample_alternative(spec: AlternativeSpec, n: int, stream: RandomStream) -> n
     _, sampler = ALTERNATIVE_FAMILIES[spec.family]
     return sampler(stream.generator(), n, *spec.params)
 
-
-def alternative_cdf(spec: AlternativeSpec, x) -> np.ndarray:
-    """Closed-form CDF of the alternative family (used for sampler validation)."""
-    from scipy import stats
-
-    x = np.asarray(x, dtype=float)
-    fam, p = spec.family, spec.params
-    if fam == "gamma":
-        return stats.gamma.cdf(x, p[0], scale=p[1])
-    if fam == "chisquared":
-        return stats.chi2.cdf(x, p[0])
-    if fam == "weibull":
-        return stats.weibull_min.cdf(x, p[1], scale=p[0])
-    if fam == "lognormal":
-        return stats.lognorm.cdf(x, np.sqrt(p[1]), scale=np.exp(p[0]))
-    if fam == "pareto":
-        alpha, sigma = p
-        return stats.pareto.cdf(x, alpha, scale=sigma)
-    if fam == "rayleigh":
-        return stats.rayleigh.cdf(x, scale=p[0])
-    if fam == "halfnormal":
-        return stats.halfnorm.cdf(x, scale=p[0])
-    if fam == "frechet":
-        m, s, alpha = p
-        return stats.invweibull.cdf(x, alpha, loc=m, scale=s)
-    if fam == "absloggamma":
-        k, theta = p
-        g = stats.gamma(k, scale=theta)
-        x_pos = np.maximum(x, 0.0)
-        return g.cdf(np.exp(x_pos)) - g.cdf(np.exp(-x_pos))
-    if fam == "invgaussian":
-        mu, lam = p
-        return stats.invgauss.cdf(x, mu / lam, scale=lam)
-    if fam == "burr":
-        mu, eta, sigma = p
-        x_pos = np.maximum(x, 0.0)
-        return 1.0 - (1.0 + (x_pos / mu) ** sigma) ** -eta
-    raise ValueError(fam)

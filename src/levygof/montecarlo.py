@@ -12,6 +12,7 @@ count or scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,6 +50,9 @@ class MonteCarloError(RuntimeError):
 @dataclass(frozen=True)
 class ReplicationPlan:
     """Master seed, replicate count B and advisory worker count.
+
+    The worker count is an upper bound: a simulation runs at most one worker
+    per chunk of replicates and per CPU core.
 
     Replicate i draws from stream (master_seed, i). A null simulation uses
     streams 0 ... B-1; a power study on that null draws its alternative
@@ -142,12 +146,15 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     starts = range(0, b, CHUNK)
     tasks = [(specs, n, plan.master_seed, first + s, first + min(s + CHUNK, b), draw, params)
              for s in starts]
-    if plan.worker_hint > 1 and len(tasks) > 1:
+    # The pool may start every worker on the first submit, so more workers
+    # than chunks or cores would only cost forks.
+    workers = min(plan.worker_hint, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         if any(spec.splits for spec in specs):
             # The window constants evaluate scipy.special. Loaded here, before
             # the fork, it is imported once instead of once in every worker.
             import scipy.special  # noqa: F401
-        with ProcessPoolExecutor(max_workers=plan.worker_hint) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for s, vals in zip(starts, pool.map(_chunk_task, tasks)):
                 out[:, s:s + CHUNK] = vals
     else:

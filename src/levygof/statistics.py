@@ -148,6 +148,8 @@ class StatisticSpec:
         elif len(self.splits) != len(default):
             raise ValueError(f"statistic {kind} takes {len(default)} window(s), "
                              f"got {len(self.splits)}")
+        for s in self.splits:
+            s.require_open_top()  # every window is scaled by its theoretical moment
         if kind == "ran" and self.tuning <= 0.0:
             raise ValueError("ran tuning parameter must be > 0")
 

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levygof.condmoments import (QuantileSplit, qcmoment_quadrature_oracle,
-                                 theoretical_qcm, theoretical_second_moment)
+from levygof.condmoments import QuantileSplit, theoretical_qcm, theoretical_second_moment
 from levygof.datasets import fixture_analysis
 from levygof.distributions import AlternativeSpec, LevyParams, sample_levy
 from levygof.estimators import cov, mle, qcm, qcv
 from levygof.montecarlo import ReplicationPlan, p_value, power_study, simulate_null
 from levygof.statistics import StatisticSpec, evaluate, evaluate_batch
 from levygof.streams import RandomStream
+from oracles import qcmoment_quadrature_oracle
 
 SEED = 2718
 

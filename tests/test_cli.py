@@ -265,6 +265,9 @@ class TestOtherCommands:
         (("nosuch",), "nosuch"),
         (("estimate", "--method", "mle", "--fixture", "nope"), "--fixture"),
         (("calibrate", "--stat", "vn", "--n", "20", "--frob", "1"), "--frob"),
+        (("calibrate", "--stat", "on", "--split", "0.8,1", "--split2", "0,0.3", "--n", "50",
+          "--replicates", "100"), "--split"),
+        (("test", "--stat", "tn", "--split", "0.5,1", "--fixture", "rainfall"), "--split"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
@@ -274,7 +277,8 @@ class TestOtherCommands:
             "calibrate-n-and-n-grid", "power-n-and-n-grid", "diagnose-n-and-n-grid",
             "input-and-fixture", "column-with-fixture", "column-negative",
             "gamma-one-param", "levy-with-params", "gamma-with-c-and-mu", "stat-not-a-choice",
-            "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag"])
+            "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
+            "calibrate-on-split-to-1", "test-tn-split-to-1"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")

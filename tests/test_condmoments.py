@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levygof.condmoments import (QuantileSplit, _values,
-                                 qcmoment_quadrature_oracle, theoretical_qcm,
+from levygof.condmoments import (QuantileSplit, _values, theoretical_qcm,
                                  theoretical_second_moment, theoretical_qcv,
                                  window_indices, window_mean, window_var)
 from levygof.distributions import LevyParams, levy_quantile, sample_levy
 from levygof.streams import RandomStream
+from oracles import qcmoment_quadrature_oracle
 
 
 # Window kernels on one unsorted sample.
@@ -55,6 +55,12 @@ class TestTheoretical:
     def test_qcv_quadratic_in_c(self):
         s = QuantileSplit(0.1, 0.6)
         assert theoretical_qcv(s, 3.0) == pytest.approx(9.0 * theoretical_qcv(s, 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("fn", [theoretical_qcm, theoretical_qcv], ids=["qcm", "qcv"])
+    @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, fn, c):
+        with pytest.raises(ValueError, match="scale c must be finite and > 0"):
+            fn(QuantileSplit(0.1, 0.6), c)
 
     def test_qcm_inside_window(self):
         s = QuantileSplit(0.1, 0.9)

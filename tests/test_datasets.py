@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from levygof.datasets import fixture_analysis, fixture_raw, fixture_sha256
+from levygof.datasets import fixture_analysis, fixture_raw
+from oracles import fixture_sha256
 
 # Digests of the canonical two-decimal rendering, pinned at transcription time.
 VESSELS_SHA = "35ffda7ba1d10b0dd93d45e9e775e1365199e1d70bcb7aae0faf0ec96b4c510b"

@@ -5,10 +5,10 @@ from scipy.integrate import quad
 from scipy.stats import kstest, ks_2samp, pareto
 
 from levygof.distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec,
-                                   LevyParams, alternative_cdf, levy_cdf,
-                                   levy_pdf, levy_quantile, sample_alternative,
-                                   sample_levy)
+                                   LevyParams, levy_cdf, levy_pdf, levy_quantile,
+                                   sample_alternative, sample_levy)
 from levygof.streams import RandomStream
+from oracles import alternative_cdf, sample_levy_inverse
 
 
 class TestLevyKernel:
@@ -48,6 +48,17 @@ class TestLevyKernel:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 levy_quantile(bad, LevyParams())
+
+    @pytest.mark.parametrize("x", [np.nan, np.array([0.25, np.nan, 0.75])],
+                             ids=["scalar", "array"])
+    def test_nan_is_propagated_or_rejected(self, x):
+        # NaN is not below the support: the CDF and density are NaN there, and
+        # a NaN probability is outside (0, 1).
+        p = LevyParams()
+        assert np.array_equal(np.isnan(levy_cdf(x, p)), np.isnan(x))
+        assert np.array_equal(np.isnan(levy_pdf(x, p)), np.isnan(x))
+        with pytest.raises(ValueError, match="0 < prob < 1"):
+            levy_quantile(x, p)
 
     def test_pdf_outside_support(self):
         assert levy_pdf(-1.0, LevyParams()) == 0.0
@@ -93,13 +104,11 @@ class TestLevySampler:
         assert d < 0.002
 
     def test_fast_vs_inverse_paths(self):
-        a = sample_levy(LevyParams(c=2.0), 10**5, RandomStream(1, 0), method="fast")
-        b = sample_levy(LevyParams(c=2.0), 10**5, RandomStream(1, 1), method="inverse")
+        a = sample_levy(LevyParams(c=2.0), 10**5, RandomStream(1, 0))
+        b = sample_levy_inverse(LevyParams(c=2.0), 10**5, RandomStream(1, 1))
         assert ks_2samp(a, b).statistic < 0.01
 
     def test_bad_method_and_n(self):
-        with pytest.raises(ValueError):
-            sample_levy(LevyParams(), 10, RandomStream(0), method="bogus")
         with pytest.raises(ValueError):
             sample_levy(LevyParams(), 0, RandomStream(0))
 
@@ -133,8 +142,9 @@ class TestAlternatives:
         assert x.min() >= 1.0
 
     def test_pareto_parameter_order(self):
-        # Checked against scipy directly, not through alternative_cdf, so a
-        # swap made in both the sampler and the CDF is still caught.
+        # Checked against scipy directly, not through the alternative_cdf
+        # oracle of tests/oracles.py, so a swap made in both the sampler and
+        # that CDF is still caught.
         x = sample_alternative(AlternativeSpec("pareto", (0.75, 1.0)), 10**5, RandomStream(13))
         assert kstest(x, pareto(b=0.75, scale=1.0).cdf).statistic < 0.01
 

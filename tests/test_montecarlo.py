@@ -37,6 +37,34 @@ class TestSimulateNull:
         (b,) = simulate_null((StatisticSpec("tn"),), 30, plan(1200, workers=4))
         assert a.values.tobytes() == b.values.tobytes()
 
+    @pytest.mark.parametrize("hint, cores, opened", [
+        (5000, 8, [3]),   # capped by the 3 chunks of 1200 replicates
+        (5000, 2, [2]),   # capped by the cores
+        (4, None, []),    # an unknown core count means 1: no pool
+    ], ids=["chunks", "cores", "no-count"])
+    def test_worker_count_is_capped(self, monkeypatch, hint, cores, opened):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cores)
+        (a,) = simulate_null((StatisticSpec("tn"),), 30, plan(1200, workers=hint))
+        (b,) = simulate_null((StatisticSpec("tn"),), 30, plan(1200, workers=1))
+        assert seen == opened
+        assert a.values.tobytes() == b.values.tobytes()
+
     def test_byte_identical_across_runs(self):
         (a,) = simulate_null((StatisticSpec("on"),), 40, plan(800))
         (b,) = simulate_null((StatisticSpec("on"),), 40, plan(800))

@@ -38,15 +38,21 @@ class TestSpec:
         with pytest.raises(ValueError, match="takes 0 window"):
             StatisticSpec("vn", (QuantileSplit(0.5, 0.51),))
 
+    def test_window_to_1_rejected(self):
+        # Each window is scaled by its theoretical moment, which needs b < 1.
+        with pytest.raises(ValueError, match="b < 1"):
+            StatisticSpec("cn", (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 1.0)))
+
     def test_min_n_enforced(self):
         with pytest.raises(ValueError, match="needs n >="):
             evaluate(StatisticSpec("on"), [1.0, 2.0, 3.0])
 
 
-# Windows at least 0.02 wide, so that n up to 150 reaches the bound.
+# Windows at least 0.02 wide, so that n up to 150 reaches the bound, and
+# below b = 1, which a statistic's window may not reach.
 SPLITS = st.tuples(st.floats(min_value=0.0, max_value=0.97),
                    st.floats(min_value=0.02, max_value=1.0)).map(
-    lambda t: QuantileSplit(t[0], min(1.0, t[0] + t[1])))
+    lambda t: QuantileSplit(t[0], min(0.99, t[0] + t[1])))
 
 
 class TestFeasibility:
