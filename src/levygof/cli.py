@@ -229,8 +229,13 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_estimate(args, emit: Emitter) -> int:
-    if args.split and METHODS[args.method].split is None:
-        raise UsageError(f"--split does not apply to --method {args.method}")
+    if args.split:
+        if METHODS[args.method].split is None:
+            raise UsageError(f"--split does not apply to --method {args.method}")
+        try:
+            args.split.require_open_top()  # the window is scaled by its theoretical moment
+        except ValueError as e:
+            raise UsageError(f"bad --split for --method {args.method}: {e}")
     data = _load_data(args)
     est = estimate(args.method, data, args.split)
     rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}

@@ -7,8 +7,9 @@ Six scale-ratio / characterization statistics:
 * ``tn``  — ensemble of COV and QCM scale estimates against MLE.
 * ``cn``  — ratio of two windowed-conditional-variance scale estimates
             (scale AND location invariant).
-* ``ran`` — sum-stability kernel statistic on the MLE-scaled sample; O(n^2)
-            time per row, summed in blocks under a fixed memory budget.
+* ``ran`` — sum-stability kernel statistic on the MLE-scaled sample; its
+            n(n-1)/2 pair terms per row are evaluated once each, by cyclic
+            shifts, in blocks under a fixed memory budget.
 * ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
             row from prefix sums of the sorted row.
 
@@ -37,7 +38,7 @@ __all__ = [
 
 RAN_TUNING_DEFAULT = 0.2
 
-# Elements in one temporary of the blocked `ran` pair sum (512 KiB of float64).
+# Elements in the one reused buffer of the `ran` pair sum (512 KiB of float64).
 _PAIR_BUDGET = 2**16
 
 
@@ -74,29 +75,43 @@ def _cn(spec, x, xs):
 
 
 def _ran(spec, x, xs):
-    # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j).
-    # A block of rows i0 <= i < i0 + h meets the columns j >= i0 only: its
-    # square part counts once, the part right of it twice, by symmetry. The
-    # block height depends on n alone, so each row is summed in the same
-    # order whatever the batch; it leaves room for at least 16 rows in one
-    # temporary of _PAIR_BUDGET elements.
+    # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j):
+    # the diagonal (2 q_i)^-2.5 plus twice the sum over unordered pairs. Each
+    # unordered pair is (i, i + d mod n) for one cyclic shift d in 1..n//2,
+    # except that at d = n/2 (n even) every pair appears twice, so that shift
+    # is halved. Shift d is window d of q followed by its first half, a
+    # strided view. A block of shifts d0 <= d < d0 + h for a group of rows is
+    # evaluated in place in one reused buffer of _PAIR_BUDGET elements, then
+    # summed per row. The block shapes depend on n alone, so each row is
+    # summed in the same order whatever the batch; they leave room for at
+    # least 16 rows.
     b, n = x.shape
     a = spec.tuning
+    half = n // 2
     s = x / mle(x)[:, None]
-    q = a / 2.0 + s / 4.0
-    height = max(1, min(n, _PAIR_BUDGET // (16 * n)))
+    wrapped = np.empty((b, n + half))
+    q = wrapped[:, :n]
+    np.add(a / 2.0, s / 4.0, out=q)
+    wrapped[:, n:] = q[:, :half]
+    shifted = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
+    height = max(1, min(half, _PAIR_BUDGET // (16 * n)))
     group = max(1, _PAIR_BUDGET // (height * n))
-    by_i = np.empty_like(q)
+    buf = np.empty(min(group, b) * height * n)
+    pairs = np.zeros(b)
     for r0 in range(0, b, group):
-        qr = q[r0:r0 + group]
-        for i0 in range(0, n, height):
-            h = min(height, n - i0)
-            t = (qr[:, i0:i0 + h, None] + qr[:, None, i0:]) ** -2.5
-            by_i[r0:r0 + group, i0:i0 + h] = (t[:, :, :h].sum(axis=2)
-                                              + 2.0 * t[:, :, h:].sum(axis=2))
+        g = min(group, b - r0)
+        for d0 in range(1, half + 1, height):
+            h = min(height, half + 1 - d0)
+            t = buf[:g * h * n].reshape(g, h, n)
+            np.add(q[r0:r0 + g, None, :], shifted[r0:r0 + g, d0:d0 + h], out=t)
+            np.power(t, -2.5, out=t)
+            if d0 + h > half and 2 * half == n:
+                t[:, -1] *= 0.5
+            pairs[r0:r0 + g] += t.reshape(g, h * n).sum(axis=1)
+    pairs = ((2.0 * q) ** -2.5).sum(axis=1) + 2.0 * pairs
     # The single-point terms -single_i - single_j summed over all pairs.
     single = n * ((a + s) ** -2.5).sum(axis=1)
-    return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * (by_i.sum(axis=1) - single)
+    return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * (pairs - single)
 
 
 def _deltan(spec, x, xs):

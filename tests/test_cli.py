@@ -240,7 +240,10 @@ class TestOtherCommands:
         (("sample", "--dist", "levy", "--c", "-1", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy", "--n", "0"), "n must be >= 1"),
         (("sample", "--dist", "levy", "--n", "5", "--seed", "-1"), "--seed"),
-        (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"), "b < 1"),
+        (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"),
+         "bad --split for --method qcm: theoretical moments require b < 1"),
+        (("estimate", "--method", "qcv", "--split", "0.5,1", "--fixture", "vessels"),
+         "bad --split for --method qcv"),
         (("estimate", "--method", "mle", "--split", "0,0.5", "--fixture", "vessels"),
          "--split"),
         (("estimate", "--method", "median", "--fixture", "vessels"), "--method"),
@@ -272,8 +275,8 @@ class TestOtherCommands:
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
             "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-n-0",
-            "sample-seed-negative",
-            "qcm-split-to-1", "mle-with-split", "unknown-method", "test-all-with-stat",
+            "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",
+            "mle-with-split", "unknown-method", "test-all-with-stat",
             "calibrate-n-and-n-grid", "power-n-and-n-grid", "diagnose-n-and-n-grid",
             "input-and-fixture", "column-with-fixture", "column-negative",
             "gamma-one-param", "levy-with-params", "gamma-with-c-and-mu", "stat-not-a-choice",

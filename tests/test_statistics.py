@@ -111,9 +111,10 @@ class TestInvariance:
 class TestScalarVsBatch:
     # Row k of a batch equals the one-row evaluation bit for bit, so Monte
     # Carlo results do not depend on chunking. At n = 250 the ran pair sum
-    # runs in several row blocks and row groups.
+    # runs in several shift blocks and row groups; odd n = 31 has no half
+    # shift.
     def test_batch_agrees_with_scalar(self):
-        for n in (40, 250):
+        for n in (31, 40, 250):
             rows = np.vstack([sample_levy(LevyParams(), n, RandomStream(5, i))
                               for i in range(40)])
             for kind in ("vn", "on", "tn", "cn", "ran", "deltan"):
@@ -157,7 +158,7 @@ class TestNullBehaviour:
 
 
 # Dense O(B n^2) forms of the ran and deltan kernels: reference oracles for
-# the blocked and sorted-prefix-sum kernels of levygof.statistics.
+# the cyclic-shift and sorted-prefix-sum kernels of levygof.statistics.
 
 def _ran_dense(x, a):
     n = x.shape[1]
@@ -221,6 +222,18 @@ class TestPairKernels:
         assert (np.abs(fast[ok] - dense[ok]) <= 1e-12 * (1.0 + np.abs(dense[ok]))).all()
         for k in range(x.shape[0]):
             assert np.array_equal(fast[k:k + 1], evaluate_batch(spec, x[k:k + 1]), equal_nan=True)
+
+    @pytest.mark.parametrize("tuning", [0.2, 3.0])
+    @pytest.mark.parametrize("n", [250, 251])
+    def test_ran_matches_dense_oracle_in_several_blocks(self, n, tuning):
+        # The strategy above stops at n = 80, a single block of shifts; here
+        # the shifts span several blocks, and at even n the half shift sits
+        # inside the last one.
+        x = 1.0 / np.random.default_rng(n).standard_normal((8, n)) ** 2
+        spec = StatisticSpec("ran", tuning=tuning)
+        fast, dense = evaluate_batch(spec, x), _dense(spec, x)
+        assert np.isfinite(dense).all()
+        assert (np.abs(fast - dense) <= 1e-12 * (1.0 + np.abs(dense))).all()
 
     @pytest.mark.parametrize("kind", ["ran", "deltan"])
     def test_memory_bounded(self, kind):
