@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
@@ -64,6 +65,12 @@ def _check_scale(c: float) -> None:
         raise ValueError("scale c must be finite and > 0")
 
 
+def _erfcinv(q: float) -> float:
+    """erfc^-1(q) = -Phi^-1(q/2) / sqrt(2); inf at q = 0 (a = 0) and where q/2 underflows."""
+    half = q / 2.0
+    return math.inf if half == 0.0 else -NormalDist().inv_cdf(half) / math.sqrt(2.0)
+
+
 def _exp_over(u: float, power: int) -> float:
     """exp(-u^2) / u^power with the u -> inf limit handled (a = 0 windows)."""
     if not np.isfinite(u):
@@ -77,35 +84,27 @@ def theoretical_qcm(split: QuantileSplit, c: float = 1.0) -> float:
 
     Cached: the statistics divide every batch by the same few constants.
     """
-    # scipy is imported where it is used: importing levygof loads no scipy
-    # module, and scipy.special alone would double the CLI's start-up time.
-    from scipy.special import erfcinv
-
     split.require_open_top()
     _check_scale(c)
-    ga = erfcinv(split.a)
-    gb = erfcinv(split.b)
+    ga = _erfcinv(split.a)
+    gb = _erfcinv(split.b)
     return c * ((_exp_over(gb, 1) - _exp_over(ga, 1)) / (_SQRT_PI * (split.b - split.a)) - 1.0)
 
 
 def _second_moment_antiderivative(u: float) -> float:
     # Antiderivative of exp(-u^2)/u^4 scaled into the second-moment substitution.
-    from scipy.special import erf
-
     if not np.isfinite(u):
         return 2.0 * _SQRT_PI / 3.0
     e = float(np.exp(-u * u))
-    return -e / (3.0 * u**3) + (2.0 / 3.0) * e / u + (2.0 * _SQRT_PI / 3.0) * float(erf(u))
+    return -e / (3.0 * u**3) + (2.0 / 3.0) * e / u + (2.0 * _SQRT_PI / 3.0) * math.erf(u)
 
 
 def theoretical_second_moment(split: QuantileSplit, c: float = 1.0) -> float:
     """Conditional second moment of Lv(c) on the window; quadratic in c."""
-    from scipy.special import erfcinv
-
     split.require_open_top()
     _check_scale(c)
-    ga = erfcinv(split.a)
-    gb = erfcinv(split.b)
+    ga = _erfcinv(split.a)
+    gb = _erfcinv(split.b)
     num = _second_moment_antiderivative(ga) - _second_moment_antiderivative(gb)
     return c * c * num / (2.0 * _SQRT_PI * (split.b - split.a))
 

@@ -45,7 +45,6 @@ def fixture_raw(name: str) -> np.ndarray:
 
 def fixture_analysis(name: str) -> np.ndarray:
     """The view of the fixture the Levy hypothesis applies to."""
-    raw, invert = FIXTURES[name]
-    arr = np.array(raw)
-    return 1.0 / arr if invert else arr
+    arr = fixture_raw(name)
+    return 1.0 / arr if FIXTURES[name][1] else arr
 

@@ -1,10 +1,12 @@
 """One-sided Levy distribution kernel and alternative-family samplers."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .condmoments import _erfcinv
 from .streams import RandomStream
 
 __all__ = [
@@ -35,15 +37,13 @@ class LevyParams:
 
 def levy_cdf(x, p: LevyParams = LevyParams()):
     """CDF: 0 for x <= mu, else erfc(sqrt(c / (2 (x - mu))))."""
-    from scipy.special import erfc
-
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.where(np.isnan(x), np.nan, 0.0)
     pos = x > p.mu
     if np.any(pos):
-        out[pos] = erfc(np.sqrt(p.c / (2.0 * (x[pos] - p.mu))))
+        out[pos] = [math.erfc(math.sqrt(p.c / (2.0 * t))) for t in (x[pos] - p.mu).tolist()]
     return float(out[0]) if scalar else out
 
 
@@ -66,12 +66,11 @@ def levy_pdf(x, p: LevyParams = LevyParams()):
 
 def levy_quantile(prob, p: LevyParams = LevyParams()):
     """Quantile: mu + c / (2 erfcinv(prob)^2) for prob in (0, 1)."""
-    from scipy.special import erfcinv
-
     q = np.asarray(prob, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):  # NaN fails both comparisons
         raise ValueError("quantile requires 0 < prob < 1")
-    return p.mu + p.c / (2.0 * erfcinv(q) ** 2)
+    g = np.array([_erfcinv(v) for v in q.ravel().tolist()]).reshape(q.shape)
+    return p.mu + p.c / (2.0 * g ** 2)
 
 
 def sample_levy(p: LevyParams, n: int, stream: RandomStream) -> np.ndarray:

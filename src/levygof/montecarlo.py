@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,10 +150,6 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     # than chunks or cores would only cost forks.
     workers = min(plan.worker_hint, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        if any(spec.splits for spec in specs):
-            # The window constants evaluate scipy.special. Loaded here, before
-            # the fork, it is imported once instead of once in every worker.
-            import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for s, vals in zip(starts, pool.map(_chunk_task, tasks)):
                 out[:, s:s + CHUNK] = vals

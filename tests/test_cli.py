@@ -1,11 +1,14 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levygof
 import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE,
                          main, read_observations)
@@ -360,9 +363,10 @@ def run_in_subprocess(code, *argv):
                           check=True)
 
 
-# Runs the CLI on argv, then prints on stderr whether scipy.special was loaded.
-CLI_THEN_SPECIAL = ("import sys; from levygof.cli import main; code = main(sys.argv[1:]); "
-                    "print('scipy.special' in sys.modules, file=sys.stderr); sys.exit(code)")
+# Runs the CLI on argv, then prints on stderr the scipy modules it loaded.
+CLI_THEN_SCIPY = ("import sys; from levygof.cli import main; code = main(sys.argv[1:]); "
+                  "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+                  "file=sys.stderr); sys.exit(code)")
 
 
 class TestStartup:
@@ -371,18 +375,28 @@ class TestStartup:
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         assert run_in_subprocess(code).stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("argv", [
-        ("estimate", "--method", "mle", "--fixture", "rainfall"),
-        ("diagnose", "--stat", "ran", "--n", "50", "--replicates", "1000"),
-    ], ids=["estimate-mle", "diagnose-ran"])
-    def test_runs_without_special_functions(self, argv):
-        done = run_in_subprocess(CLI_THEN_SPECIAL, *argv)
-        assert len(records(done.stdout)) == 1
-        assert done.stderr.strip() == "False"
+    @pytest.mark.parametrize("argv, nrecords", [
+        (("estimate", "--method", "mle", "--fixture", "rainfall"), 1),
+        (("diagnose", "--stat", "ran", "--n", "50", "--replicates", "1000"), 1),
+        (("test", "--all", "--fixture", "rainfall", "--replicates", "200", "--workers", "2"), 5),
+        (("calibrate", "--stat", "cn", "--n", "50", "--replicates", "200"), 1),
+        (("estimate", "--method", "qcm", "--fixture", "rainfall"), 1),
+        (("ppplot", "--fixture", "rainfall"), 31),
+    ], ids=["estimate-mle", "diagnose-ran", "test-all-pool", "calibrate-cn", "estimate-qcm",
+            "ppplot"])
+    def test_runs_without_scipy(self, argv, nrecords):
+        done = run_in_subprocess(CLI_THEN_SCIPY, *argv)
+        assert len(records(done.stdout)) == nrecords
+        assert done.stderr.strip() == "[]"
 
-    def test_battery_loads_special_functions_on_use(self):
-        done = run_in_subprocess(CLI_THEN_SPECIAL, "test", "--all", "--fixture", "rainfall",
-                                 "--replicates", "200")
-        recs = records(done.stdout)
-        assert [r["stat"] for r in recs] == ["vn", "tn", "on", "deltan", "ran"]
-        assert all(0.0 < r["p_value"] <= 1.0 for r in recs)
+    def test_package_imports_no_scipy(self):
+        src = Path(levygof.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not [m for m in names if m.split(".")[0] == "scipy"], path.name

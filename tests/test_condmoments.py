@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfcinv
 
-from levygof.condmoments import (QuantileSplit, _values, theoretical_qcm,
+from levygof.condmoments import (QuantileSplit, _erfcinv, _values, theoretical_qcm,
                                  theoretical_second_moment, theoretical_qcv,
                                  window_indices, window_mean, window_var)
 from levygof.distributions import LevyParams, levy_quantile, sample_levy
@@ -45,6 +46,22 @@ class TestSplit:
 
     def test_full_window_ok_for_samples(self):
         assert wmean(list(range(1, 11)), QuantileSplit(0.0, 1.0)) == 5.5
+
+
+class TestErfcinv:
+    # scipy.special.erfcinv is the reference the stdlib form replaced.
+    @pytest.mark.parametrize("q", [0.02, 0.3, 0.4, 0.48, 0.7, 0.8, 0.95])
+    def test_default_window_ends(self, q):
+        assert _erfcinv(q) == pytest.approx(erfcinv(q), rel=2e-15)
+
+    def test_grid(self):
+        grid = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.0, 1.0, 1001)[1:-1]])
+        ours = np.array([_erfcinv(q) for q in grid])
+        assert np.max(np.abs(ours / erfcinv(grid) - 1.0)) < 2e-15
+
+    @pytest.mark.parametrize("q", [0.0, 5e-324])
+    def test_infinite_where_half_underflows(self, q):
+        assert _erfcinv(q) == np.inf == erfcinv(q)
 
 
 class TestTheoretical:

@@ -27,9 +27,10 @@ def test_rainfall_analysis_is_raw():
     assert np.array_equal(fixture_analysis("rainfall"), fixture_raw("rainfall"))
 
 
-def test_unknown_fixture():
-    with pytest.raises(ValueError):
-        fixture_raw("nonsense")
+@pytest.mark.parametrize("load", [fixture_raw, fixture_analysis])
+def test_unknown_fixture(load):
+    with pytest.raises(ValueError, match="unknown fixture: 'nonsense'"):
+        load("nonsense")
 
 
 def test_all_positive():

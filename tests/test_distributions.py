@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 from scipy.stats import kstest, ks_2samp, pareto
 
 from levygof.distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec,
@@ -20,6 +21,14 @@ class TestLevyKernel:
     def test_cdf_median(self):
         # Median of Lv(1) is 1/(0.75-quantile of N(0,1))^2.
         assert levy_cdf(2.198109, LevyParams()) == pytest.approx(0.5, abs=1e-6)
+
+    def test_cdf_matches_scipy_erfc(self):
+        # scipy.special.erfc is the reference the math.erfc form replaced;
+        # erfc arguments run from 6 (x - mu = c/72) down to 1e-3.
+        p = LevyParams(c=2.5, mu=-1.0)
+        x = p.mu + p.c * np.logspace(np.log10(1.0 / 72.0), 5.7, 500)
+        ref = erfc(np.sqrt(p.c / (2.0 * (x - p.mu))))
+        assert np.max(np.abs(levy_cdf(x, p) / ref - 1.0)) < 1e-14
 
     def test_quantile_roundtrip(self):
         p = LevyParams(c=2.5, mu=-1.0)
