@@ -13,14 +13,13 @@ import sys
 
 import numpy as np
 
-from .condmoments import QuantileSplit
+from .condmoments import EstimationError, QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
 from .distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec, LevyParams,
                             levy_cdf, sample_alternative, sample_levy)
-from .estimators import METHODS, EstimationError, estimate
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic, power_study,
                          run_test, simulate_null)
-from .statistics import STATISTIC_KINDS, StatisticSpec
+from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate
 from .streams import RandomStream
 
 __all__ = ["main"]
@@ -229,13 +228,10 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_estimate(args, emit: Emitter) -> int:
-    if args.split:
-        if METHODS[args.method].split is None:
-            raise UsageError(f"--split does not apply to --method {args.method}")
-        try:
-            args.split.require_open_top()  # the window is scaled by its theoretical moment
-        except ValueError as e:
-            raise UsageError(f"bad --split for --method {args.method}: {e}")
+    try:
+        StatisticSpec(args.method, (args.split,) if args.split else ())
+    except ValueError as e:
+        raise UsageError(f"bad --split for --method {args.method}: {e}")
     data = _load_data(args)
     est = estimate(args.method, data, args.split)
     rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}
@@ -339,7 +335,7 @@ def _add_mc_flags(p):
     p.add_argument("--seed", type=_typed(_seed), default=0)
     p.add_argument("--workers", type=_at_least(1), default=1,
                    help="worker processes; capped at one per CPU core and per "
-                        "512-replicate chunk")
+                        "chunk of replicates (512, fewer when n > 2048)")
 
 
 def _add_stat_flags(p, group=None):

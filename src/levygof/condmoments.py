@@ -3,7 +3,7 @@
 Closed forms for the conditional mean and variance on a quantile window,
 and row-wise order-statistic window kernels on sorted rows (one sample or a
 (B, n) batch). The scale estimators and statistics built on the kernels live
-in `estimators` and `statistics`.
+in `statistics`.
 """
 from __future__ import annotations
 

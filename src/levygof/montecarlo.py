@@ -5,9 +5,9 @@ p-values, power studies against the benchmark alternatives, and normality
 diagnostics of the null laws.
 
 Determinism contract: every replicate draws from its own random stream keyed
-by (master seed, replicate index), and replicates are processed in fixed-size
-chunks, so output is byte-identical for a given plan regardless of worker
-count or scheduling.
+by (master seed, replicate index), and replicates are processed in chunks
+whose size depends on n alone, so output is byte-identical for a given plan
+regardless of worker count or scheduling.
 """
 from __future__ import annotations
 
@@ -38,9 +38,12 @@ __all__ = [
     "normality_diagnostic",
 ]
 
-# Replicates are processed in fixed chunks so that results do not depend on
-# how the chunk list is split across workers.
+# Replicates are processed in chunks of at most CHUNK rows and at most
+# CHUNK_VALUES drawn values (8 MiB of float64), so that results do not depend
+# on how the chunk list is split across workers and a chunk's memory does not
+# grow with n.
 CHUNK = 512
+CHUNK_VALUES = 2**20
 
 
 class MonteCarloError(RuntimeError):
@@ -52,7 +55,8 @@ class ReplicationPlan:
     """Master seed, replicate count B and advisory worker count.
 
     The worker count is an upper bound: a simulation runs at most one worker
-    per chunk of replicates and per CPU core.
+    per chunk of replicates (512, or 2**20 // n when n > 2048) and per CPU
+    core.
 
     Replicate i draws from stream (master_seed, i). A null simulation uses
     streams 0 ... B-1; a power study on that null draws its alternative
@@ -142,9 +146,10 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     for spec in specs:
         spec.check_n(n)
     b = plan.replicates
+    chunk = min(CHUNK, max(1, CHUNK_VALUES // n))
     out = np.empty((len(specs), b))
-    starts = range(0, b, CHUNK)
-    tasks = [(specs, n, plan.master_seed, first + s, first + min(s + CHUNK, b), draw, params)
+    starts = range(0, b, chunk)
+    tasks = [(specs, n, plan.master_seed, first + s, first + min(s + chunk, b), draw, params)
              for s in starts]
     # The pool may start every worker on the first submit, so more workers
     # than chunks or cores would only cost forks.
@@ -152,10 +157,10 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for s, vals in zip(starts, pool.map(_chunk_task, tasks)):
-                out[:, s:s + CHUNK] = vals
+                out[:, s:s + chunk] = vals
     else:
         for s, task in zip(starts, tasks):
-            out[:, s:s + CHUNK] = _chunk_task(task)
+            out[:, s:s + chunk] = _chunk_task(task)
     return out
 
 

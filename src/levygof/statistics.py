@@ -1,6 +1,14 @@
-"""Goodness-of-fit statistics for the one-sided Levy null hypothesis.
+"""Scale estimators and goodness-of-fit statistics for the one-sided Levy law.
 
-Six scale-ratio / characterization statistics:
+One table of row-wise kernels. Four scale estimators:
+
+* ``qcm`` — windowed conditional mean of the sorted rows over its Lv(1) constant.
+* ``qcv`` — root of the windowed conditional variance over its Lv(1)
+            constant (location invariant).
+* ``mle`` — maximum likelihood: reciprocal mean of the inverses.
+* ``cov`` — from the covariance of the inverse and log-inverse series.
+
+Six scale-ratio / characterization test statistics (``STATISTIC_KINDS``):
 
 * ``vn``  — covariance-to-MLE scale ratio.
 * ``on``  — ratio of two windowed-conditional-mean scale estimates.
@@ -13,13 +21,14 @@ Six scale-ratio / characterization statistics:
 * ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
             row from prefix sums of the sorted row.
 
-``evaluate(spec, sample)`` is the scalar path: the one-row case of
-``evaluate_batch``, raising on precondition violations. ``evaluate_batch``
-marks failed replicates as NaN so Monte Carlo callers can apply their own
-failure policy.
+``evaluate(spec, sample)`` and ``estimate(method, sample, split)`` are the
+scalar paths: the one-row case of ``evaluate_batch``, raising on precondition
+violations. ``evaluate_batch`` marks failed replicates as NaN so Monte Carlo
+callers can apply their own failure policy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -27,26 +36,69 @@ import numpy as np
 
 from .condmoments import (EstimationError, QuantileSplit, _values, theoretical_qcm,
                           theoretical_qcv, window_bound, window_indices, window_mean, window_var)
-from .estimators import cov, mle
 
 __all__ = [
+    "EstimationError",
+    "ScaleEstimate",
+    "METHODS",
+    "estimate",
+    "qcm",
+    "qcv",
+    "mle",
+    "cov",
+    "QCM_SPLIT_DEFAULT",
+    "QCV_SPLIT_DEFAULT",
     "StatisticSpec",
     "STATISTIC_KINDS",
     "evaluate",
     "evaluate_batch",
 ]
 
+# Empirical defaults: QCM window minimizing the estimator's spread, QCV window
+# used for the estimator comparison study.
+QCM_SPLIT_DEFAULT = QuantileSplit(0.02, 0.48)
+QCV_SPLIT_DEFAULT = QuantileSplit(0.0, 0.7)
+
 RAN_TUNING_DEFAULT = 0.2
+
+_TINY = 1e-300
 
 # Elements in the one reused buffer of the `ran` pair sum (512 KiB of float64).
 _PAIR_BUDGET = 2**16
 
 
 # --- row-wise kernels -------------------------------------------------------
-# Every statistic is evaluated row-wise on a (B, n) matrix; the scalar path is
-# the one-row case. Row-local reductions make results independent of how the
-# batch is chunked. A kernel takes the spec, the rows, and the sorted rows
-# (None unless its table entry asks for them).
+# Every estimator and statistic is evaluated row-wise on a (B, n) matrix; the
+# scalar path is the one-row case. Row-local reductions make results
+# independent of how the batch is chunked. A table kernel takes the spec, the
+# rows, and the sorted rows (None unless its table entry asks for them); the
+# estimators below are called with the sorted rows and a window, or the rows.
+
+def qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    """QCM scale of sorted rows: windowed mean over the Lv(1) window constant."""
+    return window_mean(xs, split) / theoretical_qcm(split, 1.0)
+
+
+def qcv(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    """QCV scale of sorted rows: root of the windowed variance over the Lv(1) constant."""
+    return np.sqrt(window_var(xs, split) / theoretical_qcv(split, 1.0))
+
+
+def mle(x: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood scale along the last axis: reciprocal mean of the inverses."""
+    return 1.0 / (1.0 / x).mean(axis=-1)
+
+
+def cov(x: np.ndarray) -> np.ndarray:
+    """COV scale along the last axis; NaN where the inverse/log-inverse
+    covariance is not positive (so at n = 1)."""
+    y = 1.0 / x
+    z = np.log(y)
+    w = y - y.mean(axis=-1, keepdims=True)
+    v = z - z.mean(axis=-1, keepdims=True)
+    denom = np.sum(w * v, axis=-1)
+    return 2.0 * x.shape[-1] / np.where(denom > 0.0, denom, np.nan)
+
 
 def _vn(spec, x, xs):
     return np.sqrt(x.shape[1]) * (cov(x) / mle(x) - 1.0)
@@ -54,15 +106,12 @@ def _vn(spec, x, xs):
 
 def _on(spec, x, xs):
     s1, s2 = spec.splits
-    c1 = window_mean(xs, s1) / theoretical_qcm(s1, 1.0)
-    c2 = window_mean(xs, s2) / theoretical_qcm(s2, 1.0)
-    return np.sqrt(x.shape[1]) * (c1 / c2 - 1.0)
+    return np.sqrt(x.shape[1]) * (qcm(xs, s1) / qcm(xs, s2) - 1.0)
 
 
 def _tn(spec, x, xs):
     (s1,) = spec.splits
-    cq = window_mean(xs, s1) / theoretical_qcm(s1, 1.0)
-    return np.sqrt(x.shape[1]) * ((cov(x) + cq) / (2.0 * mle(x)) - 1.0)
+    return np.sqrt(x.shape[1]) * ((cov(x) + qcm(xs, s1)) / (2.0 * mle(x)) - 1.0)
 
 
 def _cn(spec, x, xs):
@@ -132,9 +181,16 @@ class _Kernel(NamedTuple):
     positive: bool      # undefined on rows with a nonpositive value
     window: int         # order statistics each window must hold (0: reads none)
     splits: tuple = ()  # default windows
+    min_n: int = 2      # smallest sample size
 
 
 _KERNELS = {
+    "qcm": _Kernel(lambda spec, x, xs: qcm(xs, *spec.splits), True, False, 1,
+                   (QCM_SPLIT_DEFAULT,)),
+    "qcv": _Kernel(lambda spec, x, xs: qcv(xs, *spec.splits), True, False, 2,
+                   (QCV_SPLIT_DEFAULT,)),
+    "mle": _Kernel(lambda spec, x, xs: mle(x), False, True, 0, min_n=1),
+    "cov": _Kernel(lambda spec, x, xs: cov(x), False, True, 0),
     "vn": _Kernel(_vn, False, True, 0),
     "on": _Kernel(_on, True, True, 1, (QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95))),
     "tn": _Kernel(_tn, True, True, 1, (QuantileSplit(0.02, 0.48),)),
@@ -143,7 +199,15 @@ _KERNELS = {
     "ran": _Kernel(_ran, False, True, 0),
     "deltan": _Kernel(_deltan, True, True, 0),
 }
-STATISTIC_KINDS = tuple(_KERNELS)
+# The scale estimators, each with why a nonpositive or undefined estimate
+# means non-Levy data; the other rows are the test statistics.
+METHODS = {
+    "qcm": "windowed mean is nonpositive; data cannot be Levy with c > 0",
+    "qcv": "windowed variance is zero; degenerate sample",
+    "mle": "reciprocal mean of the inverses is not positive",
+    "cov": "nonpositive inverse/log-inverse covariance; data cannot be Levy",
+}
+STATISTIC_KINDS = tuple(kind for kind in _KERNELS if kind not in METHODS)
 
 
 @dataclass(frozen=True)
@@ -155,7 +219,7 @@ class StatisticSpec:
     def __post_init__(self):
         kind = self.kind.lower()
         object.__setattr__(self, "kind", kind)
-        if kind not in STATISTIC_KINDS:
+        if kind not in _KERNELS:
             raise ValueError(f"unknown statistic kind: {self.kind!r}")
         default = _KERNELS[kind].splits
         if not self.splits:
@@ -165,23 +229,25 @@ class StatisticSpec:
                              f"got {len(self.splits)}")
         for s in self.splits:
             s.require_open_top()  # every window is scaled by its theoretical moment
-        if kind == "ran" and self.tuning <= 0.0:
-            raise ValueError("ran tuning parameter must be > 0")
+        if kind == "ran" and not 0.0 < self.tuning < math.inf:
+            raise ValueError("ran tuning parameter must be finite and > 0")
 
     def check_n(self, n: int) -> None:
         """Raise EstimationError unless the statistic is defined at sample size n.
 
-        n >= 2, and every window holds enough order statistics at this n.
+        n >= 2 (n >= 1 for mle), and every window holds enough order
+        statistics at this n.
         """
-        width = _KERNELS[self.kind].window
+        kernel = _KERNELS[self.kind]
+        width = kernel.window
         short = []
         for s in self.splits:
             i, j = window_indices(n, s)
             if j - i < width:
                 short.append(f"; window ({s.a}, {s.b}) holds {j - i} order statistics, "
                              f"fewer than {width}")
-        if n < 2 or short:
-            need = max([2] + [window_bound(s, width) for s in self.splits])
+        if n < kernel.min_n or short:
+            need = max([kernel.min_n] + [window_bound(s, width) for s in self.splits])
             raise EstimationError(f"statistic {self.kind} needs n >= {need}, got {n}"
                                   + "".join(short))
 
@@ -210,3 +276,29 @@ def evaluate(spec: StatisticSpec, sample) -> float:
             "(nonpositive data, degenerate window, or bad covariance)")
     return float(val)
 
+
+@dataclass(frozen=True)
+class ScaleEstimate:
+    method: str
+    value: float
+    split: QuantileSplit | None = None
+
+
+def estimate(method: str, sample, split: QuantileSplit | None = None) -> ScaleEstimate:
+    """Scale estimate of one sample by `method` (any case), on `split` or its default window.
+
+    Raises ValueError for an unknown method or a window given to `mle`/`cov`,
+    and EstimationError when the data violate the method's preconditions.
+    """
+    name = method.lower()
+    if name not in METHODS:
+        raise ValueError(f"unknown estimation method {method!r}; "
+                         f"expected one of {', '.join(METHODS)}")
+    spec = StatisticSpec(name, () if split is None else (split,))
+    x = _values(sample)
+    if _KERNELS[name].positive and np.any(x < _TINY):
+        raise EstimationError("all observations must be positive (and above 1e-300)")
+    value = float(evaluate_batch(spec, x[None, :])[0])
+    if not value > 0.0:
+        raise EstimationError(METHODS[name])
+    return ScaleEstimate(name.upper(), value, spec.splits[0] if spec.splits else None)

@@ -12,9 +12,8 @@ from scipy.stats import ks_2samp
 from levygof.condmoments import QuantileSplit, theoretical_qcm, theoretical_second_moment
 from levygof.datasets import fixture_analysis
 from levygof.distributions import AlternativeSpec, LevyParams, sample_levy
-from levygof.estimators import cov, mle, qcm, qcv
 from levygof.montecarlo import ReplicationPlan, p_value, power_study, simulate_null
-from levygof.statistics import StatisticSpec, evaluate, evaluate_batch
+from levygof.statistics import StatisticSpec, cov, evaluate, evaluate_batch, mle, qcm, qcv
 from levygof.streams import RandomStream
 from oracles import qcmoment_quadrature_oracle
 

@@ -363,6 +363,19 @@ def run_in_subprocess(code, *argv):
                           check=True)
 
 
+# Runs the CLI on argv under a 1 GiB address-space cap of its own process.
+CLI_UNDER_1GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                  "from levygof.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_chunk_memory_bounded_in_n():
+    # A 512-row chunk at n = 200000 would need 781 MiB for the draws alone.
+    done = run_in_subprocess(CLI_UNDER_1GIB, "calibrate", "--stat", "vn", "--n", "200000",
+                             "--replicates", "600")
+    (rec,) = records(done.stdout)
+    assert rec["n"] == 200000 and rec["lower"] < rec["upper"]
+
+
 # Runs the CLI on argv, then prints on stderr the scipy modules it loaded.
 CLI_THEN_SCIPY = ("import sys; from levygof.cli import main; code = main(sys.argv[1:]); "
                   "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "

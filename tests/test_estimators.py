@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from levygof.condmoments import (QuantileSplit, theoretical_qcm, theoretical_qcv,
                                  window_mean, window_var)
 from levygof.distributions import LevyParams, sample_levy
-from levygof.estimators import (METHODS, QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
-                                EstimationError, cov, estimate, mle, qcm, qcv)
+from levygof.montecarlo import ReplicationPlan, simulate_null
+from levygof.statistics import (METHODS, QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
+                                EstimationError, StatisticSpec, cov, estimate, mle, qcm, qcv)
 from levygof.streams import RandomStream
 
 
@@ -72,6 +73,13 @@ class TestEdgeCases:
         with pytest.raises(EstimationError):
             estimate("cov", [1.0])
 
+    def test_mle_of_one_observation(self):
+        assert estimate("mle", [3.5]).value == 3.5
+
+    def test_short_window_is_an_estimation_error(self):
+        with pytest.raises(EstimationError, match="statistic qcv needs n >= 3, got 2"):
+            estimate("qcv", [1.0, 2.0])
+
     def test_estimates_positive(self):
         for method in METHODS:
             assert estimate(method, SAMPLE).value > 0.0
@@ -124,3 +132,18 @@ class TestRowKernels:
         rows = np.vstack([self.ROWS[0], np.full(37, 2.0)])
         out = cov(rows)
         assert np.isfinite(out[0]) and np.isnan(out[1])
+
+
+class TestEngine:
+    """The estimators are rows of the statistic table, so the Monte Carlo
+    engine simulates them like any statistic."""
+
+    def test_simulate_null_equals_per_replicate_estimates(self):
+        specs = tuple(StatisticSpec(m) for m in METHODS)
+        n, b, seed = 20, 600, 7  # two chunks, the second a short one
+        nulls = simulate_null(specs, n, ReplicationPlan(seed, b), c=2.0)
+        rows = [sample_levy(LevyParams(c=2.0), n, RandomStream(seed, i)) for i in range(b)]
+        for spec, nd in zip(specs, nulls):
+            expected = np.sort([estimate(spec.kind, row).value for row in rows])
+            assert nd.spec == spec
+            assert np.array_equal(nd.values, expected)

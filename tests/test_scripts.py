@@ -21,7 +21,7 @@ def run_script(name, *args):
 @pytest.mark.parametrize("name, args, needle", [
     ("estimator_boxplots.py", ["--replicates", "0"], "replicates"),
     ("estimator_boxplots.py", ["--n-grid", "20,x"], "'x'"),
-    ("estimator_boxplots.py", ["--n-grid", "1"], "n=1"),
+    ("estimator_boxplots.py", ["--n-grid", "1"], "got 1"),
     ("power_table.py", ["--replicates", "0"], "replicates"),
     ("power_table.py", ["--level", "2"], "level"),
 ], ids=["boxplots-replicates-0", "boxplots-n-grid-not-int", "boxplots-n-grid-1",

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
-from levygof.estimators import EstimationError, mle
-from levygof.statistics import STATISTIC_KINDS, StatisticSpec, evaluate, evaluate_batch
+from levygof.statistics import (STATISTIC_KINDS, EstimationError, StatisticSpec, evaluate,
+                                evaluate_batch, mle)
 from levygof.streams import RandomStream
 
 SAMPLE = sample_levy(LevyParams(c=3.0), 60, RandomStream(17))
@@ -28,9 +28,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             StatisticSpec("zn")
 
-    def test_bad_tuning(self):
-        with pytest.raises(ValueError):
-            StatisticSpec("ran", tuning=0.0)
+    @pytest.mark.parametrize("tuning", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tuning(self, tuning):
+        with pytest.raises(ValueError, match="tuning"):
+            StatisticSpec("ran", tuning=tuning)
 
     def test_window_count(self):
         with pytest.raises(ValueError, match="takes 2 window"):
