@@ -4,6 +4,10 @@ Subcommands: sample, estimate, test, calibrate, power, diagnose, ppplot.
 Output is line-delimited JSON by default; `--table` switches to aligned
 human-readable columns. Exit codes: 0 success, 2 usage, 3 data/parse,
 4 estimation or statistic precondition failure.
+
+Each value is one typed flag. A law is `levy[:c[,mu]]` or `family:p1,p2,...`
+(`sample --dist`; `power --alt` takes the families only), and a quantile
+window is one `--split a,b`, given once per window (twice for on and cn).
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ import numpy as np
 
 from .condmoments import EstimationError, QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
-from .distributions import (ALTERNATIVE_FAMILIES, AlternativeSpec, LevyParams,
-                            levy_cdf, sample_alternative, sample_levy)
+from .distributions import (AlternativeSpec, LevyParams, levy_cdf, sample_alternative,
+                            sample_levy)
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic, power_study,
                          run_test, simulate_null)
 from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate
@@ -86,6 +90,17 @@ def _alt(text: str) -> AlternativeSpec:
     return AlternativeSpec(fam, _floats(ptext) if ptext else ())
 
 
+def _law(text: str) -> LevyParams | AlternativeSpec:
+    """levy, levy:c or levy:c,mu; any other name is an alternative, read by _alt."""
+    fam, _, ptext = text.partition(":")
+    if fam != "levy":
+        return _alt(text)
+    params = _floats(ptext) if ptext else ()
+    if len(params) > 2:
+        raise ValueError(f"levy takes at most 2 parameters (c, mu), got {len(params)}")
+    return LevyParams(*params)
+
+
 def _level(text: str) -> float:
     level = float(text)
     if not 0.0 < level < 1.0:
@@ -143,20 +158,6 @@ def _load_data(args) -> np.ndarray:
     return fixture_analysis(args.fixture)
 
 
-def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 class Emitter:
     """Writes records as JSONL, or as aligned columns under --table."""
 
@@ -170,9 +171,9 @@ class Emitter:
             print(f"# {text}", file=self.out)
 
     def record(self, rec: dict):
-        rec = {k: _jsonable(v) for k, v in rec.items()}
         if not self.table:
-            print(json.dumps(rec), file=self.out)
+            # np.float64 is a float; NumPy bools, ints and arrays go through tolist().
+            print(json.dumps(rec, default=lambda v: v.tolist()), file=self.out)
             return
         keys = list(rec)
         if keys != self._header:
@@ -182,7 +183,7 @@ class Emitter:
         for v in rec.values():
             if isinstance(v, float):
                 cells.append(f"{v:>12.6g}")
-            elif isinstance(v, list):
+            elif isinstance(v, (list, np.ndarray)):
                 cells.append(" ".join(format(x, "g") for x in v))
             else:
                 cells.append(f"{v!s:>12}")
@@ -191,9 +192,9 @@ class Emitter:
 
 def _stat_spec(args) -> StatisticSpec:
     try:
-        return StatisticSpec(args.stat, tuple(s for s in (args.split, args.split2) if s))
+        return StatisticSpec(args.stat, tuple(args.split or ()))
     except ValueError as e:
-        raise UsageError(f"bad --split/--split2 for --stat {args.stat}: {e}")
+        raise UsageError(f"bad --split for --stat {args.stat}: {e}")
 
 
 def _sizes(args, spec: StatisticSpec) -> list[int]:
@@ -205,24 +206,8 @@ def _sizes(args, spec: StatisticSpec) -> list[int]:
 
 
 def cmd_sample(args, emit: Emitter) -> int:
-    stream = RandomStream(args.seed, 0)
-    if args.dist == "levy":
-        if args.params is not None:
-            raise UsageError("--dist levy takes no --params")
-        c, mu = (1.0 if args.c is None else args.c), (0.0 if args.mu is None else args.mu)
-        draws = sample_levy(LevyParams(c=c, mu=mu), args.n, stream)
-    else:
-        if args.params is None:
-            raise UsageError(f"--dist {args.dist} requires --params")
-        for flag in ("c", "mu"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--dist {args.dist} takes no --{flag}")
-        try:
-            spec = AlternativeSpec(args.dist, args.params)
-        except ValueError as e:
-            raise UsageError(f"bad --params for --dist {args.dist}: {e}")
-        draws = sample_alternative(spec, args.n, stream)
-    for v in draws:
+    draw = sample_levy if isinstance(args.dist, LevyParams) else sample_alternative
+    for v in draw(args.dist, args.n, RandomStream(args.seed, 0)):
         print(format(v, ".17g"), file=emit.out)
     return EXIT_OK
 
@@ -244,8 +229,8 @@ def cmd_estimate(args, emit: Emitter) -> int:
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
     if args.all:
-        if args.split or args.split2:
-            raise UsageError("--split/--split2 do not apply to --all")
+        if args.split:
+            raise UsageError("--split does not apply to --all")
         specs = tuple(StatisticSpec(kind) for kind in ALL_TEST_KINDS)
     else:
         specs = (_stat_spec(args),)
@@ -341,8 +326,8 @@ def _add_mc_flags(p):
 def _add_stat_flags(p, group=None):
     # --stat is required unless it sits in a mutually exclusive `group`.
     (group or p).add_argument("--stat", choices=STATISTIC_KINDS, required=group is None)
-    p.add_argument("--split", type=_typed(_split), help="a,b window override")
-    p.add_argument("--split2", type=_typed(_split), help="second a,b window (on/cn)")
+    p.add_argument("--split", type=_typed(_split), action="append",
+                   help="a,b window; once per window (twice for on/cn)")
 
 
 def _add_n_flags(p):
@@ -361,12 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw from the Levy law or an alternative family")
-    p.add_argument("--dist", required=True,
-                   choices=("levy",) + tuple(sorted(ALTERNATIVE_FAMILIES)))
-    p.add_argument("--params", type=_typed(_floats), help="comma-separated family parameters")
-    p.add_argument("--c", type=float, help="Levy scale (default 1)")
-    p.add_argument("--mu", type=float, help="Levy location (default 0)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--dist", required=True, type=_typed(_law),
+                   help="levy[:c[,mu]] (c = 1, mu = 0 by default) or family:p1,p2,... "
+                        "e.g. gamma:2,3")
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--seed", type=_typed(_seed), default=0)
     p.set_defaults(func=cmd_sample)
 

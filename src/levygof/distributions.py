@@ -169,7 +169,8 @@ class AlternativeSpec:
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if fam not in ALTERNATIVE_FAMILIES:
-            raise ValueError(f"unknown alternative family: {self.family!r}")
+            raise ValueError(f"unknown alternative family: {self.family!r}; "
+                             f"choose from {sorted(ALTERNATIVE_FAMILIES)}")
         nparams, _ = ALTERNATIVE_FAMILIES[fam]
         if len(self.params) != nparams:
             raise ValueError(f"{fam} takes {nparams} parameter(s), got {len(self.params)}")

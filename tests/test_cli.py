@@ -1,4 +1,6 @@
+import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 import levygof
 import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE,
-                         main, read_observations)
+                         build_parser, main, read_observations)
 
 
 def run(capsys, *argv):
@@ -24,18 +26,39 @@ def records(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line.strip()]
 
 
+# sha256 of `sample --dist LAW --n 200 --seed 7`. Each digest was taken from
+# the earlier spelling of the same law (`--dist levy --c 2 --mu 0.5`,
+# `--dist gamma --params 2,3`), which these spellings replace byte for byte.
+SAMPLE_SHA256 = {
+    "levy": "d44a4654fea9e51b70e060b13b9055dad0c805a7d364b6b19f3c3e1663831cd7",
+    "levy:2": "0e271864605efd1e284f5aef7db7877d701e2bebaa20c3e41edb7be61147891a",
+    "levy:2,0.5": "7bcbf6434d2305425db48a64f1b838e5ecaf6b8464edcfdedd687cc23ffeb59e",
+    "gamma:2,3": "9a4f015e418ea9fb73f80398b5a35bbb82ed57294aeff813b29b1f93e22210aa",
+    "chisquared:3": "ebf3b3b77adfdf3c4cac5b60a3ad746213d6bf05a9ee386295018d88f342b7f7",
+    "weibull:2,3": "078720ef41f05c110ace36de5159b47075315c895888245b4abdabc26eb39dc0",
+    "lognormal:0,1": "91f0019ede7e54436da522ed8a285796dd678607eba71e1474c1cfb62c5e82a3",
+    "pareto:0.75,1": "16b80d1c6214fea17c411824202b5297d3c40ec3f3f471cdeccf450fb9295cb9",
+    "rayleigh:1": "7831a4f2c8a309f55407b2db3b83063a146ef8995544b9a707b0108f32c9132b",
+    "halfnormal:1": "f263b0d755bd4b7d6db1eba84d8c6a9144769a5d26994276249ae239b67bd951",
+    "frechet:0,0.5,1": "52ac4e4809e59e4d3745ce9bacb49c4b65ea680a5e18650af048c1780a5aa4cc",
+    "absloggamma:2,3": "6b2459a0882c0c2ad1e3f1f410ea945c1fa44403c119ae5670a663066aaf2861",
+    "invgaussian:1,2": "8c759ebe8170ce24ae206adb8da1af6a93a4bfb53484a583d3aed50828b35b8b",
+    "burr:1.5,0.5,0.5": "c7a65a1890ae6560e672527618b5ff2eea3e7279cee12377b4adeaed1b7b3faf",
+}
+
+
 class TestSample:
     def test_deterministic(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
         for f in (f1, f2):
-            code, _, _ = run(capsys, "--out", str(f), "sample", "--dist", "levy",
-                             "--c", "2", "--n", "5", "--seed", "7")
+            code, _, _ = run(capsys, "--out", str(f), "sample", "--dist", "levy:2",
+                             "--n", "5", "--seed", "7")
             assert code == EXIT_OK
         assert f1.read_text() == f2.read_text()
 
     def test_pareto_support(self, capsys):
-        code, out, _ = run(capsys, "sample", "--dist", "pareto", "--params",
-                           "0.75,1.0", "--n", "100", "--seed", "1")
+        code, out, _ = run(capsys, "sample", "--dist", "pareto:0.75,1.0",
+                           "--n", "100", "--seed", "1")
         assert code == EXIT_OK
         # (alpha, sigma) = (0.75, 1.0): support starts at the scale 1.0.
         assert min(float(v) for v in out.split()) >= 1.0
@@ -45,10 +68,16 @@ class TestSample:
         assert code == EXIT_USAGE
 
     def test_levy_median(self, capsys):
-        code, out, _ = run(capsys, "sample", "--dist", "levy", "--c", "1",
+        code, out, _ = run(capsys, "sample", "--dist", "levy:1",
                            "--n", "100000", "--seed", "3")
         vals = np.array([float(v) for v in out.split()])
         assert np.median(vals) == pytest.approx(2.198, rel=0.02)
+
+    @pytest.mark.parametrize("law", list(SAMPLE_SHA256))
+    def test_draws_match_the_earlier_spelling(self, capsys, law):
+        code, out, _ = run(capsys, "sample", "--dist", law, "--n", "200", "--seed", "7")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[law]
 
 
 class TestEstimate:
@@ -61,7 +90,7 @@ class TestEstimate:
 
     def test_round_trip_with_sample(self, tmp_path, capsys):
         f = tmp_path / "draws.txt"
-        run(capsys, "--out", str(f), "sample", "--dist", "levy", "--c", "2",
+        run(capsys, "--out", str(f), "sample", "--dist", "levy:2",
             "--n", "200000", "--seed", "9")
         code, out, _ = run(capsys, "estimate", "--method", "qcm", "--split",
                            "0.02,0.48", "--input", str(f))
@@ -222,7 +251,7 @@ class TestOtherCommands:
         (("calibrate", "--stat", "vn", "--n", "20", "--replicates", "0"), "--replicates"),
         (("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
          "--alt"),
-        (("sample", "--dist", "gamma", "--params", "x,1", "--n", "5"), "--params"),
+        (("sample", "--dist", "gamma:x,1", "--n", "5"), "--dist"),
         (("calibrate", "--stat", "on", "--split", "0,0.3", "--n", "20", "--replicates", "100"),
          "takes 2 window(s), got 1"),
         (("calibrate", "--stat", "vn", "--split", "0.5,0.51", "--n", "20",
@@ -240,8 +269,9 @@ class TestOtherCommands:
         (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "10"), "1000 replicates"),
         (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "1000", "--bins", "0"),
          "--bins"),
-        (("sample", "--dist", "levy", "--c", "-1", "--n", "5"), "scale c"),
-        (("sample", "--dist", "levy", "--n", "0"), "n must be >= 1"),
+        (("sample", "--dist", "levy:-1", "--n", "5"), "scale c"),
+        (("sample", "--dist", "levy:nan,0", "--n", "5"), "scale c"),
+        (("sample", "--dist", "levy", "--n", "0"), "--n"),
         (("sample", "--dist", "levy", "--n", "5", "--seed", "-1"), "--seed"),
         (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"),
          "bad --split for --method qcm: theoretical moments require b < 1"),
@@ -262,29 +292,32 @@ class TestOtherCommands:
          "--fixture"),
         (("estimate", "--method", "mle", "--column", "1", "--fixture", "rainfall"), "--column"),
         (("estimate", "--method", "mle", "--input", "data.csv", "--column", "-1"), "--column"),
-        (("sample", "--dist", "gamma", "--params", "2", "--n", "5"), "--params"),
-        (("sample", "--dist", "levy", "--params", "1,2", "--n", "2"), "--params"),
-        (("sample", "--dist", "gamma", "--params", "2,1", "--c", "5", "--mu", "3", "--n", "2"),
-         "--c"),
+        (("sample", "--dist", "gamma:2", "--n", "5"), "gamma takes 2 parameter(s), got 1"),
+        (("sample", "--dist", "levy:1,2,3", "--n", "2"), "levy takes at most 2 parameters"),
+        (("sample", "--dist", "gamma:2,1", "--c", "5", "--mu", "3", "--n", "2"), "--c"),
         (("calibrate", "--stat", "nope", "--n", "20", "--replicates", "100"), "--stat"),
         (("calibrate", "--stat", "vn", "--n", "x", "--replicates", "100"), "--n"),
         (("nosuch",), "nosuch"),
         (("estimate", "--method", "mle", "--fixture", "nope"), "--fixture"),
         (("calibrate", "--stat", "vn", "--n", "20", "--frob", "1"), "--frob"),
-        (("calibrate", "--stat", "on", "--split", "0.8,1", "--split2", "0,0.3", "--n", "50",
+        (("calibrate", "--stat", "on", "--split", "0.8,1", "--split", "0,0.3", "--n", "50",
           "--replicates", "100"), "--split"),
         (("test", "--stat", "tn", "--split", "0.5,1", "--fixture", "rainfall"), "--split"),
+        (("test", "--stat", "tn", "--split2", "0.1,0.5", "--fixture", "vessels"), "--split2"),
+        (("test", "--stat", "tn", "--split", "0.1,0.5", "--split", "0.2,0.3", "--fixture",
+          "vessels"), "takes 1 window(s), got 2"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
             "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
-            "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-n-0",
-            "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",
+            "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-c-nan",
+            "levy-n-0", "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",
             "mle-with-split", "unknown-method", "test-all-with-stat",
             "calibrate-n-and-n-grid", "power-n-and-n-grid", "diagnose-n-and-n-grid",
             "input-and-fixture", "column-with-fixture", "column-negative",
-            "gamma-one-param", "levy-with-params", "gamma-with-c-and-mu", "stat-not-a-choice",
+            "gamma-one-param", "levy-three-params", "gamma-with-c-and-mu", "stat-not-a-choice",
             "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
-            "calibrate-on-split-to-1", "test-tn-split-to-1"])
+            "calibrate-on-split-to-1", "test-tn-split-to-1", "test-tn-split2",
+            "test-tn-two-windows"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")
@@ -295,6 +328,16 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert needle in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--dist", "nope:1", "--n", "5"),
+        ("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
+    ], ids=["sample", "power"])
+    def test_unknown_family_lists_the_families(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unknown alternative family: 'nope'; choose from ['absloggamma', 'burr'" in err
 
     @pytest.mark.parametrize("argv", [
         ("calibrate", "--stat", "vn", "--n", "20", "--replicates", str(10**15)),
@@ -349,12 +392,38 @@ class TestOtherCommands:
     def test_infeasible_window_is_one_error_line(self, capsys):
         # Feasible at n = 5, but the second window is empty at n = 7.
         code, out, err = run(capsys, "calibrate", "--stat", "on", "--split", "0,0.3",
-                             "--split2", "0.3,0.4", "--n", "7", "--replicates", "100")
+                             "--split", "0.3,0.4", "--n", "7", "--replicates", "100")
         assert code == EXIT_ESTIMATION
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "window (0.3, 0.4)" in lines[0]
+
+
+def test_option_sets():
+    # Every option of every subcommand; a new flag has to be added here.
+    ap = build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(parser):
+        return sorted(s for a in parser._actions for s in a.option_strings
+                      if s not in ("-h", "--help"))
+    found = {"": options(ap), **{name: options(p) for name, p in sub.choices.items()}}
+    assert found == {
+        "": ["--out", "--table"],
+        "sample": ["--dist", "--n", "--seed"],
+        "estimate": ["--column", "--fixture", "--input", "--method", "--split"],
+        "test": ["--all", "--column", "--fixture", "--input", "--level", "--replicates",
+                 "--seed", "--split", "--stat", "--workers"],
+        "calibrate": ["--level", "--n", "--n-grid", "--replicates", "--seed", "--split",
+                      "--stat", "--workers"],
+        "power": ["--alt", "--level", "--n", "--n-grid", "--replicates", "--seed", "--split",
+                  "--stat", "--workers"],
+        "diagnose": ["--bins", "--n", "--n-grid", "--replicates", "--seed", "--split",
+                     "--stat", "--workers"],
+        "ppplot": ["--column", "--fixture", "--input"],
+    }
+    assert sum(map(len, found.values())) == 48
 
 
 def run_in_subprocess(code, *argv):
