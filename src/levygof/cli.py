@@ -19,8 +19,8 @@ import numpy as np
 
 from .condmoments import EstimationError, QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
-from .distributions import (AlternativeSpec, LevyParams, levy_cdf, sample_alternative,
-                            sample_levy)
+from .distributions import (AlternativeSpec, LevyParams, family_name, levy_cdf,
+                            sample_alternative, sample_levy)
 from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic, power_study,
                          run_test, simulate_null)
 from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate
@@ -93,7 +93,7 @@ def _alt(text: str) -> AlternativeSpec:
 def _law(text: str) -> LevyParams | AlternativeSpec:
     """levy, levy:c or levy:c,mu; any other name is an alternative, read by _alt."""
     fam, _, ptext = text.partition(":")
-    if fam != "levy":
+    if family_name(fam) != "levy":
         return _alt(text)
     params = _floats(ptext) if ptext else ()
     if len(params) > 2:

@@ -13,6 +13,7 @@ __all__ = [
     "LevyParams",
     "AlternativeSpec",
     "ALTERNATIVE_FAMILIES",
+    "family_name",
     "levy_cdf",
     "levy_pdf",
     "levy_quantile",
@@ -153,6 +154,12 @@ ALTERNATIVE_FAMILIES = {
     "burr": (3, _sample_burr),
 }
 
+
+def family_name(text: str) -> str:
+    """A law's name as the code spells it: lower case, without `-` and `_`."""
+    return text.lower().replace("-", "").replace("_", "")
+
+
 # Families whose parameters may legitimately include zero (Frechet location).
 _ZERO_OK = {"frechet": {0}, "lognormal": {0}}
 
@@ -165,7 +172,7 @@ class AlternativeSpec:
     params: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        fam = self.family.lower().replace("-", "").replace("_", "")
+        fam = family_name(self.family)
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if fam not in ALTERNATIVE_FAMILIES:

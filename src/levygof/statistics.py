@@ -63,8 +63,9 @@ RAN_TUNING_DEFAULT = 0.2
 
 _TINY = 1e-300
 
-# Elements in the one reused buffer of the `ran` pair sum (512 KiB of float64).
-_PAIR_BUDGET = 2**16
+# Elements in each of the two reused buffers of the `ran` pair sum (2**15
+# float64 each, 512 KiB together).
+_PAIR_BUDGET = 2**15
 
 
 # --- row-wise kernels -------------------------------------------------------
@@ -130,10 +131,11 @@ def _ran(spec, x, xs):
     # except that at d = n/2 (n even) every pair appears twice, so that shift
     # is halved. Shift d is window d of q followed by its first half, a
     # strided view. A block of shifts d0 <= d < d0 + h for a group of rows is
-    # evaluated in place in one reused buffer of _PAIR_BUDGET elements, then
-    # summed per row. The block shapes depend on n alone, so each row is
-    # summed in the same order whatever the batch; they leave room for at
-    # least 16 rows.
+    # evaluated in place in two reused buffers of _PAIR_BUDGET elements, as
+    # 1 / (u * u * sqrt(u)), which is faster than u ** -2.5 and also gives 0
+    # where u ** 2.5 overflows; then it is summed per row. The block shapes
+    # depend on n alone, so each row is summed in the same order whatever the
+    # batch; they leave room for at least 16 rows.
     b, n = x.shape
     a = spec.tuning
     half = n // 2
@@ -145,15 +147,18 @@ def _ran(spec, x, xs):
     shifted = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
     height = max(1, min(half, _PAIR_BUDGET // (16 * n)))
     group = max(1, _PAIR_BUDGET // (height * n))
-    buf = np.empty(min(group, b) * height * n)
+    buf = np.empty((2, min(group, b) * height * n))
     pairs = np.zeros(b)
     for r0 in range(0, b, group):
         g = min(group, b - r0)
         for d0 in range(1, half + 1, height):
             h = min(height, half + 1 - d0)
-            t = buf[:g * h * n].reshape(g, h, n)
+            t, w = buf[:, :g * h * n].reshape(2, g, h, n)
             np.add(q[r0:r0 + g, None, :], shifted[r0:r0 + g, d0:d0 + h], out=t)
-            np.power(t, -2.5, out=t)
+            np.sqrt(t, out=w)
+            w *= t
+            w *= t
+            np.divide(1.0, w, out=t)
             if d0 + h > half and 2 * half == n:
                 t[:, -1] *= 0.5
             pairs[r0:r0 + g] += t.reshape(g, h * n).sum(axis=1)

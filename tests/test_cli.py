@@ -73,9 +73,12 @@ class TestSample:
         vals = np.array([float(v) for v in out.split()])
         assert np.median(vals) == pytest.approx(2.198, rel=0.02)
 
-    @pytest.mark.parametrize("law", list(SAMPLE_SHA256))
-    def test_draws_match_the_earlier_spelling(self, capsys, law):
-        code, out, _ = run(capsys, "sample", "--dist", law, "--n", "200", "--seed", "7")
+    # A family name is folded by one rule for every law: case, `-` and `_`.
+    @pytest.mark.parametrize("spelling, law",
+                             [(law, law) for law in SAMPLE_SHA256] + [("Levy:2", "levy:2")],
+                             ids=[*SAMPLE_SHA256, "Levy:2"])
+    def test_draws_match_the_earlier_spelling(self, capsys, spelling, law):
+        code, out, _ = run(capsys, "sample", "--dist", spelling, "--n", "200", "--seed", "7")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[law]
 
@@ -251,6 +254,8 @@ class TestOtherCommands:
         (("calibrate", "--stat", "vn", "--n", "20", "--replicates", "0"), "--replicates"),
         (("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
          "--alt"),
+        (("power", "--stat", "vn", "--alt", "Levy", "--n", "20", "--replicates", "100"),
+         "unknown alternative family: 'levy'"),
         (("sample", "--dist", "gamma:x,1", "--n", "5"), "--dist"),
         (("calibrate", "--stat", "on", "--split", "0,0.3", "--n", "20", "--replicates", "100"),
          "takes 2 window(s), got 1"),
@@ -306,8 +311,8 @@ class TestOtherCommands:
         (("test", "--stat", "tn", "--split2", "0.1,0.5", "--fixture", "vessels"), "--split2"),
         (("test", "--stat", "tn", "--split", "0.1,0.5", "--split", "0.2,0.3", "--fixture",
           "vessels"), "takes 1 window(s), got 2"),
-    ], ids=["workers-0", "replicates-0", "unknown-alt", "bad-params", "on-one-window",
-            "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
+    ], ids=["workers-0", "replicates-0", "unknown-alt", "power-alt-levy", "bad-params",
+            "on-one-window", "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
             "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-c-nan",
             "levy-n-0", "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",

@@ -111,11 +111,11 @@ class TestInvariance:
 
 class TestScalarVsBatch:
     # Row k of a batch equals the one-row evaluation bit for bit, so Monte
-    # Carlo results do not depend on chunking. At n = 250 the ran pair sum
-    # runs in several shift blocks and row groups; odd n = 31 has no half
+    # Carlo results do not depend on chunking. At n = 100 and 250 the ran pair
+    # sum runs in several shift blocks and row groups; odd n = 31 has no half
     # shift.
     def test_batch_agrees_with_scalar(self):
-        for n in (31, 40, 250):
+        for n in (31, 40, 100, 250):
             rows = np.vstack([sample_levy(LevyParams(), n, RandomStream(5, i))
                               for i in range(40)])
             for kind in ("vn", "on", "tn", "cn", "ran", "deltan"):
@@ -192,18 +192,21 @@ def _dense(spec, x):
     return out
 
 
+def _family_rows(family, rng, b, n):
+    if family == "levy":
+        return 1.0 / rng.standard_normal((b, n)) ** 2
+    if family == "ties":
+        return rng.integers(1, 4, size=(b, n)).astype(float)
+    # Spans 200 decades, so (q_i + q_j) ** 2.5 overflows for some pairs.
+    return 10.0 ** rng.uniform(-100.0, 100.0, size=(b, n))
+
+
 @st.composite
 def _rows(draw):
     b = draw(st.integers(min_value=1, max_value=20))
     n = draw(st.integers(min_value=2, max_value=80))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    family = draw(st.sampled_from(["levy", "ties", "decades"]))
-    if family == "levy":
-        x = 1.0 / rng.standard_normal((b, n)) ** 2
-    elif family == "ties":
-        x = rng.integers(1, 4, size=(b, n)).astype(float)
-    else:
-        x = 10.0 ** rng.uniform(-100.0, 100.0, size=(b, n))
+    x = _family_rows(draw(st.sampled_from(["levy", "ties", "decades"])), rng, b, n)
     if draw(st.booleans()):
         x[rng.integers(b), rng.integers(n)] = draw(st.sampled_from([0.0, -1.0, -1e-3]))
     return x
@@ -224,13 +227,14 @@ class TestPairKernels:
         for k in range(x.shape[0]):
             assert np.array_equal(fast[k:k + 1], evaluate_batch(spec, x[k:k + 1]), equal_nan=True)
 
+    @pytest.mark.parametrize("family", ["levy", "decades"])
     @pytest.mark.parametrize("tuning", [0.2, 3.0])
     @pytest.mark.parametrize("n", [250, 251])
-    def test_ran_matches_dense_oracle_in_several_blocks(self, n, tuning):
+    def test_ran_matches_dense_oracle_in_several_blocks(self, n, tuning, family):
         # The strategy above stops at n = 80, a single block of shifts; here
         # the shifts span several blocks, and at even n the half shift sits
         # inside the last one.
-        x = 1.0 / np.random.default_rng(n).standard_normal((8, n)) ** 2
+        x = _family_rows(family, np.random.default_rng(n), 8, n)
         spec = StatisticSpec("ran", tuning=tuning)
         fast, dense = evaluate_batch(spec, x), _dense(spec, x)
         assert np.isfinite(dense).all()
