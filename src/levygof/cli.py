@@ -331,9 +331,11 @@ def _add_stat_flags(p, group=None):
 
 
 def _add_n_flags(p):
+    size = _at_least(1)
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--n", type=int)
-    g.add_argument("--n-grid", type=_typed(lambda text: [int(v) for v in text.split(",")]),
+    g.add_argument("--n", type=size)
+    # Each size is checked by `size`, whose error names the bad one.
+    g.add_argument("--n-grid", type=lambda text: [size(v) for v in text.split(",")],
                    help="comma-separated sample sizes")
 
 

@@ -74,13 +74,33 @@ def levy_quantile(prob, p: LevyParams = LevyParams()):
     return p.mu + p.c / (2.0 * g ** 2)
 
 
-def sample_levy(p: LevyParams, n: int, stream: RandomStream) -> np.ndarray:
+def _streams(stream: RandomStream, rows: int | None) -> list[RandomStream]:
+    """The streams of a draw: `stream` alone, or the `rows` streams from its index on."""
+    if rows is None:
+        return [stream]
+    return RandomStream.block(stream.master_seed, stream.stream_index,
+                              stream.stream_index + rows)
+
+
+def sample_levy(p: LevyParams, n: int, stream: RandomStream,
+                rows: int | None = None) -> np.ndarray:
     """Draw n i.i.d. values from Lv(mu, c) as mu + c / Z^2, Z standard normal
-    (exact in law)."""
+    (exact in law).
+
+    With `rows`, a (rows, n) block whose row k is the draw of stream
+    (stream.master_seed, stream.stream_index + k), bit for bit: each row's
+    normals come from its own stream, and the block is transformed once.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = stream.generator().standard_normal(n)
-    return p.mu + p.c / (z * z)
+    streams = _streams(stream, rows)
+    z = np.empty((len(streams), n))
+    for s, row in zip(streams, z):
+        s.generator().standard_normal(n, out=row)
+    z *= z
+    np.divide(p.c, z, out=z)
+    z += p.mu
+    return z if rows is not None else z[0]
 
 
 # Alternative families: name -> (parameter count, sampler).
@@ -192,10 +212,19 @@ class AlternativeSpec:
         return f"{self.family}({','.join(format(v, 'g') for v in self.params)})"
 
 
-def sample_alternative(spec: AlternativeSpec, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n i.i.d. values from the given alternative family."""
+def sample_alternative(spec: AlternativeSpec, n: int, stream: RandomStream,
+                       rows: int | None = None) -> np.ndarray:
+    """Draw n i.i.d. values from the given alternative family.
+
+    With `rows`, a (rows, n) block whose row k is the draw of stream
+    (stream.master_seed, stream.stream_index + k), bit for bit.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     _, sampler = ALTERNATIVE_FAMILIES[spec.family]
-    return sampler(stream.generator(), n, *spec.params)
+    streams = _streams(stream, rows)
+    out = np.empty((len(streams), n))
+    for s, row in zip(streams, out):
+        row[:] = sampler(s.generator(), n, *spec.params)
+    return out if rows is not None else out[0]
 

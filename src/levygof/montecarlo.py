@@ -20,7 +20,7 @@ import numpy as np
 
 from .condmoments import EstimationError
 from .distributions import AlternativeSpec, LevyParams, sample_alternative, sample_levy
-from .statistics import StatisticSpec, evaluate, evaluate_batch
+from .statistics import Batch, StatisticSpec, evaluate, evaluate_batch
 from .streams import RandomStream
 
 __all__ = [
@@ -125,24 +125,23 @@ class DiagnosticReport:
     replicates: int
 
 
-def _draw_chunk(draw, params, n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
-    rows = np.empty((stop - start, n))
-    for k, stream in enumerate(RandomStream.block(master_seed, start, stop)):
-        rows[k] = draw(params, n, stream)
-    return rows
-
-
 def _chunk_task(args):
     specs, n, master_seed, start, stop, draw, params = args
-    rows = _draw_chunk(draw, params, n, master_seed, start, stop)
-    return np.stack([evaluate_batch(spec, rows) for spec in specs])
+    rows = draw(params, n, RandomStream(master_seed, start), stop - start)
+    batch = Batch(rows)
+    return np.stack([evaluate_batch(spec, rows, batch) for spec in specs])
 
 
 def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, first: int,
               draw, params) -> np.ndarray:
-    """Values of each statistic on the same `draw(params, n, stream)` samples
-    from streams first ... first + B - 1: a (len(specs), B) array in replicate
-    order; NaN marks failed replicates."""
+    """Values of each statistic on the same samples from streams first ...
+    first + B - 1: a (len(specs), B) array in replicate order; NaN marks
+    failed replicates.
+
+    Each chunk of replicates is one `draw(params, n, stream, rows)` block,
+    whose row k comes from stream index + k, and its statistics share one
+    `Batch` of those rows.
+    """
     for spec in specs:
         spec.check_n(n)
     b = plan.replicates

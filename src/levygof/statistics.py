@@ -24,12 +24,15 @@ Six scale-ratio / characterization test statistics (``STATISTIC_KINDS``):
 ``evaluate(spec, sample)`` and ``estimate(method, sample, split)`` are the
 scalar paths: the one-row case of ``evaluate_batch``, raising on precondition
 violations. ``evaluate_batch`` marks failed replicates as NaN so Monte Carlo
-callers can apply their own failure policy.
+callers can apply their own failure policy. Statistics evaluated on the same
+rows may share one ``Batch``, which computes the sorted rows, ``mle``, ``cov``
+and the nonpositive-row mask once for all of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,6 +53,7 @@ __all__ = [
     "QCV_SPLIT_DEFAULT",
     "StatisticSpec",
     "STATISTIC_KINDS",
+    "Batch",
     "evaluate",
     "evaluate_batch",
 ]
@@ -71,9 +75,9 @@ _PAIR_BUDGET = 2**15
 # --- row-wise kernels -------------------------------------------------------
 # Every estimator and statistic is evaluated row-wise on a (B, n) matrix; the
 # scalar path is the one-row case. Row-local reductions make results
-# independent of how the batch is chunked. A table kernel takes the spec, the
-# rows, and the sorted rows (None unless its table entry asks for them); the
-# estimators below are called with the sorted rows and a window, or the rows.
+# independent of how the batch is chunked. A table kernel takes the spec and
+# the Batch of the rows; the estimators below are called with the sorted rows
+# and a window, or the rows.
 
 def qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """QCM scale of sorted rows: windowed mean over the Lv(1) window constant."""
@@ -101,30 +105,66 @@ def cov(x: np.ndarray) -> np.ndarray:
     return 2.0 * x.shape[-1] / np.where(denom > 0.0, denom, np.nan)
 
 
-def _vn(spec, x, xs):
-    return np.sqrt(x.shape[1]) * (cov(x) / mle(x) - 1.0)
+class Batch:
+    """A (B, n) matrix of rows and the intermediates its kernels share.
+
+    The sorted rows, ``mle``, ``cov`` and the mask of rows holding a
+    nonpositive value are each computed on first use, by the expression a
+    kernel alone would evaluate, so sharing them changes no value. Only row
+    vectors and the sorted matrix are kept. A Monte Carlo chunk builds one
+    Batch for all its statistics; a kernel never writes into what it reads.
+    """
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("expected a (B, n) matrix")
+        self.x = x
+
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        return np.sort(self.x, axis=1)
+
+    @cached_property
+    def mle(self) -> np.ndarray:
+        return mle(self.x)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        return cov(self.x)
+
+    @cached_property
+    def nonpositive(self) -> np.ndarray:
+        return (self.x <= 0.0).any(axis=1)
 
 
-def _on(spec, x, xs):
+def _vn(spec, batch):
+    return np.sqrt(batch.x.shape[1]) * (batch.cov / batch.mle - 1.0)
+
+
+def _on(spec, batch):
     s1, s2 = spec.splits
-    return np.sqrt(x.shape[1]) * (qcm(xs, s1) / qcm(xs, s2) - 1.0)
+    xs = batch.sorted
+    return np.sqrt(xs.shape[1]) * (qcm(xs, s1) / qcm(xs, s2) - 1.0)
 
 
-def _tn(spec, x, xs):
+def _tn(spec, batch):
     (s1,) = spec.splits
-    return np.sqrt(x.shape[1]) * ((cov(x) + qcm(xs, s1)) / (2.0 * mle(x)) - 1.0)
+    xs = batch.sorted
+    return np.sqrt(xs.shape[1]) * ((batch.cov + qcm(xs, s1)) / (2.0 * batch.mle) - 1.0)
 
 
-def _cn(spec, x, xs):
+def _cn(spec, batch):
     s1, s2 = spec.splits
+    xs = batch.sorted
     v1 = window_var(xs, s1) / theoretical_qcv(s1, 1.0)
     v2 = window_var(xs, s2) / theoretical_qcv(s2, 1.0)
-    out = np.sqrt(x.shape[1]) * (np.sqrt(v1 / v2) - 1.0)
+    out = np.sqrt(xs.shape[1]) * (np.sqrt(v1 / v2) - 1.0)
     out[(v1 <= 0.0) | (v2 <= 0.0)] = np.nan
     return out
 
 
-def _ran(spec, x, xs):
+def _ran(spec, batch):
     # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j):
     # the diagonal (2 q_i)^-2.5 plus twice the sum over unordered pairs. Each
     # unordered pair is (i, i + d mod n) for one cyclic shift d in 1..n//2,
@@ -136,10 +176,11 @@ def _ran(spec, x, xs):
     # where u ** 2.5 overflows; then it is summed per row. The block shapes
     # depend on n alone, so each row is summed in the same order whatever the
     # batch; they leave room for at least 16 rows.
+    x = batch.x
     b, n = x.shape
     a = spec.tuning
     half = n // 2
-    s = x / mle(x)[:, None]
+    s = x / batch.mle[:, None]
     wrapped = np.empty((b, n + half))
     q = wrapped[:, :n]
     np.add(a / 2.0, s / 4.0, out=q)
@@ -168,41 +209,43 @@ def _ran(spec, x, xs):
     return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * (pairs - single)
 
 
-def _deltan(spec, x, xs):
+def _deltan(spec, batch):
     # For x_i = x_(r): sum_{j != i} min(x_i, x_j) = sum_{k<r} x_(k) + (n-1-r) x_(r).
-    n = x.shape[1]
+    xs = batch.sorted
+    n = xs.shape[1]
     m = np.zeros_like(xs)
     np.cumsum(xs[:, :-1], axis=1, out=m[:, 1:])
     m += (n - 1 - np.arange(n)) * xs
     k1 = m / xs
     u1 = k1.sum(axis=1) / (n * (n - 1))
     u2 = (k1 / xs).sum(axis=1) / (n * (n - 1))
-    return 1.5 * u1 - 0.5 * mle(x) * u2 - 0.5
+    return 1.5 * u1 - 0.5 * batch.mle * u2 - 0.5
 
 
 class _Kernel(NamedTuple):
-    fn: Callable
-    sorted_rows: bool   # reads windows of the order statistics
+    fn: Callable        # (spec, Batch) -> a new array of one value per row
     positive: bool      # undefined on rows with a nonpositive value
     window: int         # order statistics each window must hold (0: reads none)
     splits: tuple = ()  # default windows
     min_n: int = 2      # smallest sample size
 
 
+# The estimator rows copy the shared vector: evaluate_batch masks its result
+# in place.
 _KERNELS = {
-    "qcm": _Kernel(lambda spec, x, xs: qcm(xs, *spec.splits), True, False, 1,
+    "qcm": _Kernel(lambda spec, batch: qcm(batch.sorted, *spec.splits), False, 1,
                    (QCM_SPLIT_DEFAULT,)),
-    "qcv": _Kernel(lambda spec, x, xs: qcv(xs, *spec.splits), True, False, 2,
+    "qcv": _Kernel(lambda spec, batch: qcv(batch.sorted, *spec.splits), False, 2,
                    (QCV_SPLIT_DEFAULT,)),
-    "mle": _Kernel(lambda spec, x, xs: mle(x), False, True, 0, min_n=1),
-    "cov": _Kernel(lambda spec, x, xs: cov(x), False, True, 0),
-    "vn": _Kernel(_vn, False, True, 0),
-    "on": _Kernel(_on, True, True, 1, (QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95))),
-    "tn": _Kernel(_tn, True, True, 1, (QuantileSplit(0.02, 0.48),)),
+    "mle": _Kernel(lambda spec, batch: batch.mle.copy(), True, 0, min_n=1),
+    "cov": _Kernel(lambda spec, batch: batch.cov.copy(), True, 0),
+    "vn": _Kernel(_vn, True, 0),
+    "on": _Kernel(_on, True, 1, (QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95))),
+    "tn": _Kernel(_tn, True, 1, (QuantileSplit(0.02, 0.48),)),
     # location invariant, so nonpositive data are legitimate
-    "cn": _Kernel(_cn, True, False, 2, (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 0.95))),
-    "ran": _Kernel(_ran, False, True, 0),
-    "deltan": _Kernel(_deltan, True, True, 0),
+    "cn": _Kernel(_cn, False, 2, (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 0.95))),
+    "ran": _Kernel(_ran, True, 0),
+    "deltan": _Kernel(_deltan, True, 0),
 }
 # The scale estimators, each with why a nonpositive or undefined estimate
 # means non-Levy data; the other rows are the test statistics.
@@ -257,17 +300,24 @@ class StatisticSpec:
                                   + "".join(short))
 
 
-def evaluate_batch(spec: StatisticSpec, x: np.ndarray) -> np.ndarray:
-    """Statistic values for each row of ``x``; NaN marks failed preconditions."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a (B, n) matrix")
-    spec.check_n(x.shape[1])
+def evaluate_batch(spec: StatisticSpec, x: np.ndarray,
+                   batch: Batch | None = None) -> np.ndarray:
+    """Statistic values for each row of ``x``; NaN marks failed preconditions.
+
+    ``batch``, the ``Batch(x)`` of the caller, lets statistics evaluated on
+    the same rows share their intermediates; without it the call builds its
+    own. The result is a new array either way.
+    """
+    if batch is None:
+        batch = Batch(x)
+    elif batch.x is not x:
+        raise ValueError("batch was built from other rows than x")
+    spec.check_n(batch.x.shape[1])
     kernel = _KERNELS[spec.kind]
     with np.errstate(all="ignore"):
-        out = kernel.fn(spec, x, np.sort(x, axis=1) if kernel.sorted_rows else None)
+        out = kernel.fn(spec, batch)
     if kernel.positive:
-        out[(x <= 0.0).any(axis=1)] = np.nan
+        out[batch.nonpositive] = np.nan
     out[~np.isfinite(out)] = np.nan
     return out
 

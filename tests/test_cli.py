@@ -169,9 +169,9 @@ class TestTest:
         # statistic; the other kinds are tested on one draw of B replicates.
         real, streams = mc.sample_levy, []
 
-        def draw(params, n, stream):
-            streams.append(stream.stream_index)
-            return real(params, n, stream)
+        def draw(params, n, stream, rows):
+            streams.extend(range(stream.stream_index, stream.stream_index + rows))
+            return real(params, n, stream, rows)
         monkeypatch.setattr(mc, "sample_levy", draw)
         f = tmp_path / "d.txt"
         f.write_text("\n".join(str(v) for v in 1.0 / np.linspace(0.3, 2.0, 5) ** 2))
@@ -263,6 +263,16 @@ class TestOtherCommands:
           "--replicates", "100"), "takes 0 window(s), got 1"),
         (("calibrate", "--n", "20", "--replicates", "100"), "--stat"),
         (("calibrate", "--stat", "vn", "--n-grid", "20,x", "--replicates", "100"), "--n-grid"),
+        (("calibrate", "--stat", "vn", "--n", "-5", "--replicates", "100"),
+         "argument --n: bad value '-5': must be >= 1"),
+        (("calibrate", "--stat", "vn", "--n", "0", "--replicates", "100"),
+         "argument --n: bad value '0'"),
+        (("calibrate", "--stat", "vn", "--n-grid", "20,-3", "--replicates", "100"),
+         "argument --n-grid: bad value '-3': must be >= 1"),
+        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "0", "--replicates", "100"),
+         "argument --n: bad value '0'"),
+        (("diagnose", "--stat", "vn", "--n-grid", "0", "--replicates", "1000"),
+         "argument --n-grid: bad value '0'"),
         (("calibrate", "--stat", "vn", "--n", "20", "--level", "2", "--replicates", "100"),
          "level must be in (0, 1)"),
         (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "20", "--level", "0",
@@ -312,7 +322,9 @@ class TestOtherCommands:
         (("test", "--stat", "tn", "--split", "0.1,0.5", "--split", "0.2,0.3", "--fixture",
           "vessels"), "takes 1 window(s), got 2"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "power-alt-levy", "bad-params",
-            "on-one-window", "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-level-2",
+            "on-one-window", "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-n-negative",
+            "calibrate-n-0", "calibrate-n-grid-negative", "power-n-0", "diagnose-n-grid-0",
+            "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
             "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-c-nan",
             "levy-n-0", "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",

@@ -138,6 +138,28 @@ SPECS = [
 ]
 
 
+LAWS = [LevyParams(), LevyParams(2.0, 0.5), *SPECS]
+
+
+def _draw(law, *args):
+    return (sample_levy if isinstance(law, LevyParams) else sample_alternative)(law, *args)
+
+
+class TestBlockDraws:
+    def test_laws_cover_every_family(self):
+        assert {spec.family for spec in SPECS} == set(ALTERNATIVE_FAMILIES)
+
+    # Row k of a block is the one-stream draw of stream first + k, bit for bit.
+    @pytest.mark.parametrize("rows", [1, 3, 513])
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    def test_block_equals_the_one_stream_draws(self, law, rows):
+        n, first = 31, 7
+        block = _draw(law, n, RandomStream(11, first), rows)
+        alone = np.vstack([_draw(law, n, RandomStream(11, first + k)) for k in range(rows)])
+        assert block.shape == (rows, n)
+        assert np.array_equal(block, alone)
+
+
 class TestAlternatives:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
     def test_sampler_matches_cdf(self, spec):

@@ -118,10 +118,11 @@ class TestDrawOnce:
         # Replicate 5 gets a negative value: vn is undefined on it, cn is not.
         real = mc.sample_levy
 
-        def draw(params, n, stream):
-            x = real(params, n, stream)
-            if stream.stream_index == 5:
-                x[0] = -1.0
+        def draw(params, n, stream, rows):
+            x = real(params, n, stream, rows)
+            k = 5 - stream.stream_index
+            if 0 <= k < rows:
+                x[k, 0] = -1.0
             return x
         monkeypatch.setattr(mc, "sample_levy", draw)
         with pytest.raises(MonteCarloError, match="statistic vn failed on null replicate 5"):

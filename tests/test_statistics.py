@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
-from levygof.statistics import (STATISTIC_KINDS, EstimationError, StatisticSpec, evaluate,
-                                evaluate_batch, mle)
+from levygof.statistics import (METHODS, STATISTIC_KINDS, Batch, EstimationError,
+                                StatisticSpec, evaluate, evaluate_batch, mle)
 from levygof.streams import RandomStream
 
 SAMPLE = sample_levy(LevyParams(c=3.0), 60, RandomStream(17))
@@ -123,6 +123,26 @@ class TestScalarVsBatch:
                 batch = evaluate_batch(spec, rows)
                 for i in range(rows.shape[0]):
                     assert batch[i] == evaluate(spec, rows[i])
+
+    def test_shared_batch_changes_no_value(self):
+        # Every kind in turn reads one Batch, an estimator first, so each finds
+        # the intermediates of the kinds before it. Each result must equal the
+        # kind evaluated alone, and be the caller's own to overwrite.
+        rows = sample_levy(LevyParams(), 60, RandomStream(3, 1), 12)
+        rows[1, 4] = -0.5
+        rows[2] = 2.0
+        shared = Batch(rows)
+        for kind in ["mle", *(k for k in (*METHODS, *STATISTIC_KINDS) if k != "mle")]:
+            spec = StatisticSpec(kind)
+            out = evaluate_batch(spec, rows, shared)
+            alone = evaluate_batch(spec, rows.copy())
+            assert np.array_equal(out, alone, equal_nan=True), kind
+            out[:] = -7.0
+
+    def test_batch_of_other_rows_is_refused(self):
+        rows = np.vstack([SAMPLE[:40], SAMPLE[20:]])
+        with pytest.raises(ValueError, match="other rows"):
+            evaluate_batch(StatisticSpec("vn"), rows, Batch(rows.copy()))
 
     def test_batch_marks_bad_rows_nan(self):
         rows = np.vstack([SAMPLE[:40], SAMPLE[:40]])
