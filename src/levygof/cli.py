@@ -21,8 +21,8 @@ from .condmoments import EstimationError, QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
 from .distributions import (AlternativeSpec, LevyParams, family_name, levy_cdf,
                             sample_alternative, sample_levy)
-from .montecarlo import (ReplicationPlan, calibrate, normality_diagnostic, power_study,
-                         run_test, simulate_null)
+from .montecarlo import (ReplicationPlan, _check_level, calibrate, normality_diagnostic,
+                         power_study, run_test, simulate_null)
 from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate
 from .streams import RandomStream
 
@@ -103,8 +103,7 @@ def _law(text: str) -> LevyParams | AlternativeSpec:
 
 def _level(text: str) -> float:
     level = float(text)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    _check_level(level)
     return level
 
 
@@ -190,19 +189,19 @@ class Emitter:
         print("  ".join(cells), file=self.out)
 
 
-def _stat_spec(args) -> StatisticSpec:
+def _stat_spec(flag: str, kind: str, splits) -> StatisticSpec:
+    """The spec of `kind` (given by `flag`) on `splits`; a bad window is a usage error."""
     try:
-        return StatisticSpec(args.stat, tuple(args.split or ()))
+        return StatisticSpec(kind, tuple(splits or ()))
     except ValueError as e:
-        raise UsageError(f"bad --split for --stat {args.stat}: {e}")
+        raise UsageError(f"bad --split for {flag} {kind}: {e}")
 
 
 def _sizes(args, spec: StatisticSpec) -> list[int]:
-    """The --n or --n-grid sizes, all checked before the first one is simulated."""
-    sizes = args.n_grid or [args.n]
-    for n in sizes:
+    """The --n-grid sizes, all checked before the first one is simulated."""
+    for n in args.n_grid:
         spec.check_n(n)
-    return sizes
+    return args.n_grid
 
 
 def cmd_sample(args, emit: Emitter) -> int:
@@ -213,10 +212,7 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_estimate(args, emit: Emitter) -> int:
-    try:
-        StatisticSpec(args.method, (args.split,) if args.split else ())
-    except ValueError as e:
-        raise UsageError(f"bad --split for --method {args.method}: {e}")
+    _stat_spec("--method", args.method, (args.split,) if args.split else ())
     data = _load_data(args)
     est = estimate(args.method, data, args.split)
     rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}
@@ -233,7 +229,7 @@ def cmd_test(args, emit: Emitter) -> int:
             raise UsageError("--split does not apply to --all")
         specs = tuple(StatisticSpec(kind) for kind in ALL_TEST_KINDS)
     else:
-        specs = (_stat_spec(args),)
+        specs = (_stat_spec("--stat", args.stat, args.split),)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     failures = 0
     bound = 1.0 / (plan.replicates + 1)
@@ -259,7 +255,7 @@ def cmd_test(args, emit: Emitter) -> int:
 
 
 def cmd_calibrate(args, emit: Emitter) -> int:
-    spec = _stat_spec(args)
+    spec = _stat_spec("--stat", args.stat, args.split)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     for n in _sizes(args, spec):
         (nd,) = simulate_null((spec,), n, plan)
@@ -271,7 +267,7 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 
 
 def cmd_power(args, emit: Emitter) -> int:
-    spec = _stat_spec(args)
+    spec = _stat_spec("--stat", args.stat, args.split)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     for n in _sizes(args, spec):
         (cell,) = power_study(simulate_null((spec,), n, plan), args.alt, args.level)
@@ -284,7 +280,7 @@ def cmd_power(args, emit: Emitter) -> int:
 
 
 def cmd_diagnose(args, emit: Emitter) -> int:
-    spec = _stat_spec(args)
+    spec = _stat_spec("--stat", args.stat, args.split)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     for n in _sizes(args, spec):
         rep = normality_diagnostic(spec, n, plan, bins=args.bins)
@@ -330,13 +326,12 @@ def _add_stat_flags(p, group=None):
                    help="a,b window; once per window (twice for on/cn)")
 
 
-def _add_n_flags(p):
+def _add_n_grid(p):
     size = _at_least(1)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--n", type=size)
     # Each size is checked by `size`, whose error names the bad one.
-    g.add_argument("--n-grid", type=lambda text: [size(v) for v in text.split(",")],
-                   help="comma-separated sample sizes")
+    p.add_argument("--n-grid", required=True,
+                   type=lambda text: [size(v) for v in text.split(",")],
+                   help="sample size, or comma-separated sample sizes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="simulated two-sided rejection thresholds")
     _add_stat_flags(p)
-    _add_n_flags(p)
+    _add_n_grid(p)
     _add_mc_flags(p)
     p.add_argument("--level", type=_typed(_level), default=0.05)
     p.set_defaults(func=cmd_calibrate)
@@ -381,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stat_flags(p)
     p.add_argument("--alt", required=True, type=_typed(_alt),
                    help="family:p1,p2,... e.g. lognormal:0,1")
-    _add_n_flags(p)
+    _add_n_grid(p)
     _add_mc_flags(p)
     p.add_argument("--level", type=_typed(_level), default=0.05)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("diagnose", help="normality diagnostics of a null law")
     _add_stat_flags(p)
-    _add_n_flags(p)
+    _add_n_grid(p)
     p.add_argument("--bins", type=_at_least(1), default=50)
     _add_mc_flags(p)
     p.set_defaults(func=cmd_diagnose)

@@ -131,13 +131,20 @@ def window_bound(split: QuantileSplit, width: int) -> int:
     return math.ceil(width / (split.b - split.a))
 
 
-def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
-    n = xs.shape[-1]
+def _short_window(n: int, split: QuantileSplit, width: int) -> str | None:
+    """Why the window holds fewer than `width` order statistics at n, or None if it does not."""
     i, j = window_indices(n, split)
     if j - i < width:
-        raise EstimationError(
-            f"window ({split.a}, {split.b}) holds {j - i} order statistics at n={n}, "
-            f"fewer than {width}; need n >= {window_bound(split, width)}")
+        return f"window ({split.a}, {split.b}) holds {j - i} order statistics, fewer than {width}"
+    return None
+
+
+def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
+    n = xs.shape[-1]
+    short = _short_window(n, split, width)
+    if short:
+        raise EstimationError(f"{short} at n={n}; need n >= {window_bound(split, width)}")
+    i, j = window_indices(n, split)
     return xs[..., i:j]
 
 

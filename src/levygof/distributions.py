@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condmoments import _erfcinv
+from .condmoments import _check_scale, _erfcinv
 from .streams import RandomStream
 
 __all__ = [
@@ -30,39 +30,38 @@ class LevyParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.c) or self.c <= 0.0:
-            raise ValueError("scale c must be finite and > 0")
+        _check_scale(self.c)
         if not np.isfinite(self.mu):
             raise ValueError("location mu must be finite")
 
 
+def _on_support(x, p: LevyParams, fn):
+    """fn(x - mu) where x > mu, 0 elsewhere and NaN at NaN; a float for a 0-d x."""
+    x = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(x)
+    out = np.where(np.isnan(flat), np.nan, 0.0)
+    pos = flat > p.mu
+    out[pos] = fn(flat[pos] - p.mu)
+    return float(out[0]) if x.ndim == 0 else out
+
+
 def levy_cdf(x, p: LevyParams = LevyParams()):
     """CDF: 0 for x <= mu, else erfc(sqrt(c / (2 (x - mu))))."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.where(np.isnan(x), np.nan, 0.0)
-    pos = x > p.mu
-    if np.any(pos):
-        out[pos] = [math.erfc(math.sqrt(p.c / (2.0 * t))) for t in (x[pos] - p.mu).tolist()]
-    return float(out[0]) if scalar else out
+    return _on_support(x, p, lambda t: [math.erfc(math.sqrt(p.c / (2.0 * v)))
+                                        for v in t.tolist()])
 
 
 def levy_pdf(x, p: LevyParams = LevyParams()):
     """Density: sqrt(c/2pi) * (x-mu)^(-3/2) * exp(-c/(2(x-mu))) on (mu, inf)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.where(np.isnan(x), np.nan, 0.0)
-    pos = x > p.mu
-    t = x[pos] - p.mu
-    e = np.exp(-p.c / (2.0 * t))
-    # The density is 0 where the exponential underflows (t < c/1490); below
-    # t = 3.1e-206, t**-1.5 would also overflow and the product be inf * 0.
-    live = e > 0.0
-    pos[pos] = live
-    out[pos] = np.sqrt(p.c / (2.0 * np.pi)) * t[live] ** -1.5 * e[live]
-    return float(out[0]) if scalar else out
+    def density(t):
+        e = np.exp(-p.c / (2.0 * t))
+        # The density is 0 where the exponential underflows (t < c/1490); below
+        # t = 3.1e-206, t**-1.5 would also overflow and the product be inf * 0.
+        live = e > 0.0
+        out = np.zeros_like(t)
+        out[live] = np.sqrt(p.c / (2.0 * np.pi)) * t[live] ** -1.5 * e[live]
+        return out
+    return _on_support(x, p, density)
 
 
 def levy_quantile(prob, p: LevyParams = LevyParams()):
@@ -74,12 +73,17 @@ def levy_quantile(prob, p: LevyParams = LevyParams()):
     return p.mu + p.c / (2.0 * g ** 2)
 
 
-def _streams(stream: RandomStream, rows: int | None) -> list[RandomStream]:
-    """The streams of a draw: `stream` alone, or the `rows` streams from its index on."""
-    if rows is None:
-        return [stream]
-    return RandomStream.block(stream.master_seed, stream.stream_index,
-                              stream.stream_index + rows)
+def _draw(n: int, stream: RandomStream, rows: int | None, fill) -> np.ndarray:
+    """n values, or with `rows` a (rows, n) block whose row k is filled by
+    fill(generator, row) from stream (stream.master_seed, stream.stream_index + k)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    streams = [stream] if rows is None else RandomStream.block(
+        stream.master_seed, stream.stream_index, stream.stream_index + rows)
+    out = np.empty((len(streams), n))
+    for s, row in zip(streams, out):
+        fill(s.generator(), row)
+    return out if rows is not None else out[0]
 
 
 def sample_levy(p: LevyParams, n: int, stream: RandomStream,
@@ -91,16 +95,11 @@ def sample_levy(p: LevyParams, n: int, stream: RandomStream,
     (stream.master_seed, stream.stream_index + k), bit for bit: each row's
     normals come from its own stream, and the block is transformed once.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    streams = _streams(stream, rows)
-    z = np.empty((len(streams), n))
-    for s, row in zip(streams, z):
-        s.generator().standard_normal(n, out=row)
+    z = _draw(n, stream, rows, lambda rng, row: rng.standard_normal(n, out=row))
     z *= z
     np.divide(p.c, z, out=z)
     z += p.mu
-    return z if rows is not None else z[0]
+    return z
 
 
 # Alternative families: name -> (parameter count, sampler).
@@ -219,12 +218,7 @@ def sample_alternative(spec: AlternativeSpec, n: int, stream: RandomStream,
     With `rows`, a (rows, n) block whose row k is the draw of stream
     (stream.master_seed, stream.stream_index + k), bit for bit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _, sampler = ALTERNATIVE_FAMILIES[spec.family]
-    streams = _streams(stream, rows)
-    out = np.empty((len(streams), n))
-    for s, row in zip(streams, out):
-        row[:] = sampler(s.generator(), n, *spec.params)
-    return out if rows is not None else out[0]
+    return _draw(n, stream, rows,
+                 lambda rng, row: np.copyto(row, sampler(rng, n, *spec.params)))
 

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import (EstimationError, QuantileSplit, _values, theoretical_qcm,
+from .condmoments import (EstimationError, QuantileSplit, _short_window, _values, theoretical_qcm,
                           theoretical_qcv, window_bound, window_indices, window_mean, window_var)
 
 __all__ = [
@@ -84,9 +84,27 @@ def qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     return window_mean(xs, split) / theoretical_qcm(split, 1.0)
 
 
+def _unit_scaled(xs: np.ndarray, splits) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted rows over 2**e and the exponent e of each row, where 2**e is just
+    above the largest |x| in the windows. The windows of a sorted row lie
+    between its lowest window start and its highest window end, so that |x|
+    is the larger of the two.
+
+    Window variances of the result neither overflow nor underflow at any
+    magnitude. Scaling by a power of two is exact, so a value at ordinary
+    magnitudes does not move.
+    """
+    n = xs.shape[-1]
+    lo = min(window_indices(n, s)[0] for s in splits)
+    hi = max(window_indices(n, s)[1] for s in splits)
+    _, e = np.frexp(np.abs(xs[..., [lo, hi - 1]]).max(axis=-1, keepdims=True))
+    return np.ldexp(xs, -e), e[..., 0]
+
+
 def qcv(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """QCV scale of sorted rows: root of the windowed variance over the Lv(1) constant."""
-    return np.sqrt(window_var(xs, split) / theoretical_qcv(split, 1.0))
+    ys, e = _unit_scaled(xs, (split,))
+    return np.ldexp(np.sqrt(window_var(ys, split) / theoretical_qcv(split, 1.0)), e)
 
 
 def mle(x: np.ndarray) -> np.ndarray:
@@ -156,7 +174,7 @@ def _tn(spec, batch):
 
 def _cn(spec, batch):
     s1, s2 = spec.splits
-    xs = batch.sorted
+    xs, _ = _unit_scaled(batch.sorted, spec.splits)
     v1 = window_var(xs, s1) / theoretical_qcv(s1, 1.0)
     v2 = window_var(xs, s2) / theoretical_qcv(s2, 1.0)
     out = np.sqrt(xs.shape[1]) * (np.sqrt(v1 / v2) - 1.0)
@@ -288,16 +306,11 @@ class StatisticSpec:
         """
         kernel = _KERNELS[self.kind]
         width = kernel.window
-        short = []
-        for s in self.splits:
-            i, j = window_indices(n, s)
-            if j - i < width:
-                short.append(f"; window ({s.a}, {s.b}) holds {j - i} order statistics, "
-                             f"fewer than {width}")
+        short = [m for s in self.splits if (m := _short_window(n, s, width))]
         if n < kernel.min_n or short:
             need = max([kernel.min_n] + [window_bound(s, width) for s in self.splits])
-            raise EstimationError(f"statistic {self.kind} needs n >= {need}, got {n}"
-                                  + "".join(short))
+            raise EstimationError("; ".join([f"statistic {self.kind} needs n >= {need}, got {n}",
+                                             *short]))
 
 
 def evaluate_batch(spec: StatisticSpec, x: np.ndarray,

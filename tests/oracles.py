@@ -10,6 +10,10 @@ code with the part of the package it checks:
   against the ``mu + c / Z^2`` sampler of ``distributions``;
 * ``alternative_cdf`` gives each alternative family's CDF from scipy.stats,
   against the samplers of ``distributions``;
+* ``qcv_unscaled`` and ``cn_unscaled`` take the window variances of the rows
+  as given, against the ``qcv`` and ``cn`` kernels of ``statistics``, which
+  first scale each row by a power of two; the two agree bit for bit at
+  ordinary magnitudes;
 * ``fixture_sha256`` digests the embedded case-study data.
 """
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from scipy import stats
 from scipy.integrate import quad
 
-from levygof.condmoments import QuantileSplit
+from levygof.condmoments import QuantileSplit, theoretical_qcv, window_var
 from levygof.datasets import fixture_raw
 from levygof.distributions import AlternativeSpec, LevyParams, levy_pdf, levy_quantile
 from levygof.streams import RandomStream
@@ -89,6 +93,21 @@ def alternative_cdf(spec: AlternativeSpec, x) -> np.ndarray:
         x_pos = np.maximum(x, 0.0)
         return 1.0 - (1.0 + (x_pos / mu) ** sigma) ** -eta
     raise ValueError(fam)
+
+
+def qcv_unscaled(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    """QCV scale of sorted rows: root of the windowed variance over the Lv(1) constant."""
+    return np.sqrt(window_var(xs, split) / theoretical_qcv(split, 1.0))
+
+
+def cn_unscaled(xs: np.ndarray, s1: QuantileSplit, s2: QuantileSplit) -> np.ndarray:
+    """The cn statistic of sorted rows; NaN where a windowed variance is not positive."""
+    v1 = window_var(xs, s1) / theoretical_qcv(s1, 1.0)
+    v2 = window_var(xs, s2) / theoretical_qcv(s2, 1.0)
+    with np.errstate(all="ignore"):
+        out = np.sqrt(xs.shape[-1]) * (np.sqrt(v1 / v2) - 1.0)
+    out[(v1 <= 0.0) | (v2 <= 0.0)] = np.nan
+    return out
 
 
 def fixture_sha256(name: str) -> str:

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,10 @@ import levygof
 import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE,
                          build_parser, main, read_observations)
+from levygof.datasets import fixture_analysis
+from levygof.statistics import StatisticSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -118,6 +123,14 @@ class TestEstimate:
         code, _, _ = run(capsys, "estimate", "--method", "mle")
         assert code == EXIT_USAGE
 
+    def test_comments_only_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "empty.txt"
+        f.write_text("# header\n\n# no values\n")
+        code, out, err = run(capsys, "estimate", "--method", "mle", "--input", str(f))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "no observations found" in err
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_nonfinite_line_is_data_error(self, tmp_path, capsys, token):
         f = tmp_path / "bad.txt"
@@ -164,6 +177,23 @@ class TestTest:
             vals.append(records(out)[0]["value"])
         assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
+    @pytest.mark.parametrize("k", [-250, 250])
+    def test_cn_and_qcv_at_extreme_magnitudes(self, tmp_path, capsys, k):
+        # Squared window deviations overflow or underflow at 10**±250 unless
+        # each row is scaled first.
+        f = tmp_path / "d.txt"
+        f.write_text("\n".join(map(repr, (fixture_analysis("rainfall") * 10.0**k).tolist())))
+        found = []
+        for data in (("--fixture", "rainfall"), ("--input", str(f))):
+            _, out, _ = run(capsys, "estimate", "--method", "qcv", *data)
+            (est,) = records(out)
+            _, out, _ = run(capsys, "test", "--stat", "cn", *data, "--replicates", "200")
+            (rec,) = records(out)
+            found.append((est["estimate"], rec["value"]))
+        (qcv, cn), (scaled_qcv, scaled_cn) = found
+        assert scaled_qcv == pytest.approx(qcv * 10.0**k, rel=1e-12)
+        assert scaled_cn == pytest.approx(cn, rel=1e-12)
+
     def test_infeasible_kind_is_one_error_record(self, tmp_path, capsys, monkeypatch):
         # At n = 5 the second window of on, (0.8, 0.95), holds no order
         # statistic; the other kinds are tested on one draw of B replicates.
@@ -201,16 +231,24 @@ class TestOtherCommands:
         assert [r["n"] for r in recs] == [20, 30]
         assert all(r["lower"] < r["upper"] for r in recs)
 
+    def test_calibrate_at_an_explicit_level(self, capsys):
+        code, out, _ = run(capsys, "calibrate", "--stat", "vn", "--n-grid", "20",
+                           "--level", "0.1", "--replicates", "500", "--seed", "2")
+        assert code == EXIT_OK
+        (rec,) = records(out)
+        (nd,) = mc.simulate_null((StatisticSpec("vn"),), 20, mc.ReplicationPlan(2, 500))
+        assert (rec["level"], rec["lower"], rec["upper"]) == (0.1, *mc.calibrate(nd, 0.1))
+
     def test_power_record(self, capsys):
         code, out, _ = run(capsys, "power", "--stat", "vn", "--alt", "lognormal:0,1",
-                           "--n", "30", "--replicates", "500", "--seed", "3")
+                           "--n-grid", "30", "--replicates", "500", "--seed", "3")
         assert code == EXIT_OK
         rec = records(out)[0]
         assert 0.0 <= rec["power"] <= 1.0
         assert rec["alt"] == "lognormal(0,1)"
 
     def test_diagnose_record(self, capsys):
-        code, out, _ = run(capsys, "diagnose", "--stat", "tn", "--n", "50",
+        code, out, _ = run(capsys, "diagnose", "--stat", "tn", "--n-grid", "50",
                            "--replicates", "1000", "--bins", "20", "--seed", "6")
         assert code == EXIT_OK
         rec = records(out)[0]
@@ -245,44 +283,65 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert "estimate" in out.splitlines()[0]
 
+    def test_table_mode_prints_array_cells(self, capsys):
+        argv = ("diagnose", "--stat", "vn", "--n-grid", "20", "--replicates", "1000",
+                "--bins", "4", "--seed", "6")
+        _, out, _ = run(capsys, *argv)
+        (rec,) = records(out)
+        code, out, _ = run(capsys, "--table", *argv)
+        assert code == EXIT_OK
+        header, row = out.splitlines()
+        assert header.split() == list(rec)
+        # An array cell is its elements, space-separated.
+        for key in ("bin_edges", "counts"):
+            assert " ".join(format(x, "g") for x in rec[key]) in row
+
+    def test_table_mode_prints_comments(self, capsys):
+        code, out, _ = run(capsys, "--table", "ppplot", "--fixture", "vessels")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0].startswith("# fitted with MLE scale estimate c = ")
+        assert lines[1].split() == ["empirical", "fitted"]
+        assert len(lines) == 2 + 20
+
     def test_usage_exit_code(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv, needle", [
-        (("calibrate", "--stat", "vn", "--n", "20", "--replicates", "100", "--workers", "0"),
+        (("calibrate", "--stat", "vn", "--n-grid", "20", "--replicates", "100", "--workers", "0"),
          "--workers"),
-        (("calibrate", "--stat", "vn", "--n", "20", "--replicates", "0"), "--replicates"),
-        (("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
+        (("calibrate", "--stat", "vn", "--n-grid", "20", "--replicates", "0"), "--replicates"),
+        (("power", "--stat", "vn", "--alt", "nope:1", "--n-grid", "20", "--replicates", "100"),
          "--alt"),
-        (("power", "--stat", "vn", "--alt", "Levy", "--n", "20", "--replicates", "100"),
+        (("power", "--stat", "vn", "--alt", "Levy", "--n-grid", "20", "--replicates", "100"),
          "unknown alternative family: 'levy'"),
         (("sample", "--dist", "gamma:x,1", "--n", "5"), "--dist"),
-        (("calibrate", "--stat", "on", "--split", "0,0.3", "--n", "20", "--replicates", "100"),
-         "takes 2 window(s), got 1"),
-        (("calibrate", "--stat", "vn", "--split", "0.5,0.51", "--n", "20",
+        (("calibrate", "--stat", "on", "--split", "0,0.3", "--n-grid", "20",
+          "--replicates", "100"), "takes 2 window(s), got 1"),
+        (("calibrate", "--stat", "vn", "--split", "0.5,0.51", "--n-grid", "20",
           "--replicates", "100"), "takes 0 window(s), got 1"),
-        (("calibrate", "--n", "20", "--replicates", "100"), "--stat"),
+        (("calibrate", "--n-grid", "20", "--replicates", "100"), "--stat"),
         (("calibrate", "--stat", "vn", "--n-grid", "20,x", "--replicates", "100"), "--n-grid"),
-        (("calibrate", "--stat", "vn", "--n", "-5", "--replicates", "100"),
-         "argument --n: bad value '-5': must be >= 1"),
-        (("calibrate", "--stat", "vn", "--n", "0", "--replicates", "100"),
-         "argument --n: bad value '0'"),
+        (("calibrate", "--stat", "vn", "--n-grid", "-5", "--replicates", "100"),
+         "argument --n-grid: bad value '-5': must be >= 1"),
+        (("calibrate", "--stat", "vn", "--n-grid", "0", "--replicates", "100"),
+         "argument --n-grid: bad value '0'"),
         (("calibrate", "--stat", "vn", "--n-grid", "20,-3", "--replicates", "100"),
          "argument --n-grid: bad value '-3': must be >= 1"),
-        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "0", "--replicates", "100"),
-         "argument --n: bad value '0'"),
+        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n-grid", "0",
+          "--replicates", "100"), "argument --n-grid: bad value '0'"),
         (("diagnose", "--stat", "vn", "--n-grid", "0", "--replicates", "1000"),
          "argument --n-grid: bad value '0'"),
-        (("calibrate", "--stat", "vn", "--n", "20", "--level", "2", "--replicates", "100"),
+        (("calibrate", "--stat", "vn", "--n-grid", "20", "--level", "2", "--replicates", "100"),
          "level must be in (0, 1)"),
-        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "20", "--level", "0",
+        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n-grid", "20", "--level", "0",
           "--replicates", "100"), "level must be in (0, 1)"),
         (("test", "--all", "--fixture", "rainfall", "--level", "2", "--replicates", "100"),
          "level must be in (0, 1)"),
         (("test", "--all", "--split", "0.1,0.2", "--fixture", "vessels", "--replicates", "100"),
          "--split"),
-        (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "10"), "1000 replicates"),
-        (("diagnose", "--stat", "vn", "--n", "20", "--replicates", "1000", "--bins", "0"),
+        (("diagnose", "--stat", "vn", "--n-grid", "20", "--replicates", "10"), "1000 replicates"),
+        (("diagnose", "--stat", "vn", "--n-grid", "20", "--replicates", "1000", "--bins", "0"),
          "--bins"),
         (("sample", "--dist", "levy:-1", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy:nan,0", "--n", "5"), "scale c"),
@@ -297,12 +356,6 @@ class TestOtherCommands:
         (("estimate", "--method", "median", "--fixture", "vessels"), "--method"),
         (("test", "--all", "--stat", "vn", "--fixture", "rainfall", "--replicates", "100"),
          "--stat"),
-        (("calibrate", "--stat", "vn", "--n", "20", "--n-grid", "50", "--replicates", "100"),
-         "--n-grid"),
-        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n", "20", "--n-grid", "50",
-          "--replicates", "100"), "--n-grid"),
-        (("diagnose", "--stat", "vn", "--n", "20", "--n-grid", "50", "--replicates", "1000"),
-         "--n-grid"),
         (("estimate", "--method", "mle", "--input", "data.txt", "--fixture", "rainfall"),
          "--fixture"),
         (("estimate", "--method", "mle", "--column", "1", "--fixture", "rainfall"), "--column"),
@@ -310,12 +363,12 @@ class TestOtherCommands:
         (("sample", "--dist", "gamma:2", "--n", "5"), "gamma takes 2 parameter(s), got 1"),
         (("sample", "--dist", "levy:1,2,3", "--n", "2"), "levy takes at most 2 parameters"),
         (("sample", "--dist", "gamma:2,1", "--c", "5", "--mu", "3", "--n", "2"), "--c"),
-        (("calibrate", "--stat", "nope", "--n", "20", "--replicates", "100"), "--stat"),
-        (("calibrate", "--stat", "vn", "--n", "x", "--replicates", "100"), "--n"),
+        (("calibrate", "--stat", "nope", "--n-grid", "20", "--replicates", "100"), "--stat"),
+        (("calibrate", "--stat", "vn", "--n-grid", "x", "--replicates", "100"), "--n-grid"),
         (("nosuch",), "nosuch"),
         (("estimate", "--method", "mle", "--fixture", "nope"), "--fixture"),
-        (("calibrate", "--stat", "vn", "--n", "20", "--frob", "1"), "--frob"),
-        (("calibrate", "--stat", "on", "--split", "0.8,1", "--split", "0,0.3", "--n", "50",
+        (("calibrate", "--stat", "vn", "--n-grid", "20", "--frob", "1"), "--frob"),
+        (("calibrate", "--stat", "on", "--split", "0.8,1", "--split", "0,0.3", "--n-grid", "50",
           "--replicates", "100"), "--split"),
         (("test", "--stat", "tn", "--split", "0.5,1", "--fixture", "rainfall"), "--split"),
         (("test", "--stat", "tn", "--split2", "0.1,0.5", "--fixture", "vessels"), "--split2"),
@@ -329,7 +382,6 @@ class TestOtherCommands:
             "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-c-nan",
             "levy-n-0", "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",
             "mle-with-split", "unknown-method", "test-all-with-stat",
-            "calibrate-n-and-n-grid", "power-n-and-n-grid", "diagnose-n-and-n-grid",
             "input-and-fixture", "column-with-fixture", "column-negative",
             "gamma-one-param", "levy-three-params", "gamma-with-c-and-mu", "stat-not-a-choice",
             "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
@@ -348,7 +400,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv", [
         ("sample", "--dist", "nope:1", "--n", "5"),
-        ("power", "--stat", "vn", "--alt", "nope:1", "--n", "20", "--replicates", "100"),
+        ("power", "--stat", "vn", "--alt", "nope:1", "--n-grid", "20", "--replicates", "100"),
     ], ids=["sample", "power"])
     def test_unknown_family_lists_the_families(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -357,7 +409,7 @@ class TestOtherCommands:
         assert "unknown alternative family: 'nope'; choose from ['absloggamma', 'burr'" in err
 
     @pytest.mark.parametrize("argv", [
-        ("calibrate", "--stat", "vn", "--n", "20", "--replicates", str(10**15)),
+        ("calibrate", "--stat", "vn", "--n-grid", "20", "--replicates", str(10**15)),
         ("sample", "--dist", "levy", "--n", str(10**15)),
     ], ids=["calibrate-replicates", "sample-n"])
     def test_impossible_allocation_is_usage_error(self, capsys, argv):
@@ -390,7 +442,7 @@ class TestOtherCommands:
         assert records(out)[0]["method"] == "QCV"
 
     def test_diagnose_has_no_level_flag(self, capsys):
-        code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--n", "20",
+        code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--n-grid", "20",
                            "--replicates", "1000", "--level", "0.1")
         assert code == EXIT_USAGE
         assert out == ""
@@ -409,7 +461,7 @@ class TestOtherCommands:
     def test_infeasible_window_is_one_error_line(self, capsys):
         # Feasible at n = 5, but the second window is empty at n = 7.
         code, out, err = run(capsys, "calibrate", "--stat", "on", "--split", "0,0.3",
-                             "--split", "0.3,0.4", "--n", "7", "--replicates", "100")
+                             "--split", "0.3,0.4", "--n-grid", "7", "--replicates", "100")
         assert code == EXIT_ESTIMATION
         assert out == ""
         lines = err.splitlines()
@@ -417,30 +469,48 @@ class TestOtherCommands:
         assert "window (0.3, 0.4)" in lines[0]
 
 
-def test_option_sets():
-    # Every option of every subcommand; a new flag has to be added here.
+def option_sets() -> dict[str, list[str]]:
+    """The option strings of the top-level parser (key "") and of each subcommand."""
     ap = build_parser()
     (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
 
     def options(parser):
         return sorted(s for a in parser._actions for s in a.option_strings
                       if s not in ("-h", "--help"))
-    found = {"": options(ap), **{name: options(p) for name, p in sub.choices.items()}}
+    return {"": options(ap), **{name: options(p) for name, p in sub.choices.items()}}
+
+
+def test_option_sets():
+    # Every option of every subcommand; a new flag has to be added here.
+    found = option_sets()
     assert found == {
         "": ["--out", "--table"],
         "sample": ["--dist", "--n", "--seed"],
         "estimate": ["--column", "--fixture", "--input", "--method", "--split"],
         "test": ["--all", "--column", "--fixture", "--input", "--level", "--replicates",
                  "--seed", "--split", "--stat", "--workers"],
-        "calibrate": ["--level", "--n", "--n-grid", "--replicates", "--seed", "--split",
+        "calibrate": ["--level", "--n-grid", "--replicates", "--seed", "--split",
                       "--stat", "--workers"],
-        "power": ["--alt", "--level", "--n", "--n-grid", "--replicates", "--seed", "--split",
+        "power": ["--alt", "--level", "--n-grid", "--replicates", "--seed", "--split",
                   "--stat", "--workers"],
-        "diagnose": ["--bins", "--n", "--n-grid", "--replicates", "--seed", "--split",
+        "diagnose": ["--bins", "--n-grid", "--replicates", "--seed", "--split",
                      "--stat", "--workers"],
         "ppplot": ["--column", "--fixture", "--input"],
     }
-    assert sum(map(len, found.values())) == 48
+    assert sum(map(len, found.values())) == 45
+
+
+def test_readme_commands_use_exact_option_strings():
+    # argparse also takes an unambiguous prefix of an option, so a stale
+    # `--n` in the README would still run, as `--n-grid`.
+    found = option_sets()
+    commands = [m.group(1).split()[1:] for line in README.read_text().splitlines()
+                if (m := re.match(r"`?(levygof [^`]*)", line))]
+    assert len(commands) >= 7
+    for words in commands:
+        sub = next(w for w in words if w in found)
+        flags = {w for w in words if w.startswith("-")}
+        assert flags <= set(found[sub] + found[""]), " ".join(words)
 
 
 def run_in_subprocess(code, *argv):
@@ -456,7 +526,7 @@ CLI_UNDER_1GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, 
 
 def test_chunk_memory_bounded_in_n():
     # A 512-row chunk at n = 200000 would need 781 MiB for the draws alone.
-    done = run_in_subprocess(CLI_UNDER_1GIB, "calibrate", "--stat", "vn", "--n", "200000",
+    done = run_in_subprocess(CLI_UNDER_1GIB, "calibrate", "--stat", "vn", "--n-grid", "200000",
                              "--replicates", "600")
     (rec,) = records(done.stdout)
     assert rec["n"] == 200000 and rec["lower"] < rec["upper"]
@@ -476,9 +546,9 @@ class TestStartup:
 
     @pytest.mark.parametrize("argv, nrecords", [
         (("estimate", "--method", "mle", "--fixture", "rainfall"), 1),
-        (("diagnose", "--stat", "ran", "--n", "50", "--replicates", "1000"), 1),
+        (("diagnose", "--stat", "ran", "--n-grid", "50", "--replicates", "1000"), 1),
         (("test", "--all", "--fixture", "rainfall", "--replicates", "200", "--workers", "2"), 5),
-        (("calibrate", "--stat", "cn", "--n", "50", "--replicates", "200"), 1),
+        (("calibrate", "--stat", "cn", "--n-grid", "50", "--replicates", "200"), 1),
         (("estimate", "--method", "qcm", "--fixture", "rainfall"), 1),
         (("ppplot", "--fixture", "rainfall"), 31),
     ], ids=["estimate-mle", "diagnose-ran", "test-all-pool", "calibrate-cn", "estimate-qcm",

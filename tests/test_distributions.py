@@ -120,6 +120,8 @@ class TestLevySampler:
     def test_bad_method_and_n(self):
         with pytest.raises(ValueError):
             sample_levy(LevyParams(), 0, RandomStream(0))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_alternative(AlternativeSpec("gamma", (2.0, 3.0)), 0, RandomStream(0))
 
 
 SPECS = [

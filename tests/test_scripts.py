@@ -37,6 +37,8 @@ def test_bad_argument_is_usage_error(name, args, needle):
 
 @pytest.mark.parametrize("name, args, records", [
     ("estimator_boxplots.py", ["--replicates", "50", "--n-grid", "10,20"], 8),
+    # At c = 1e200 the squared window deviations of qcv would overflow.
+    ("estimator_boxplots.py", ["--c", "1e200", "--replicates", "50", "--n-grid", "20"], 4),
     ("power_table.py", ["--stats", "vn", "--n-grid", "20", "--replicates", "100"], 12),
 ])
 def test_valid_arguments_print_records(name, args, records):

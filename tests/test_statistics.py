@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
-from levygof.statistics import (METHODS, STATISTIC_KINDS, Batch, EstimationError,
+from levygof.statistics import (_KERNELS, METHODS, STATISTIC_KINDS, Batch, EstimationError,
                                 StatisticSpec, evaluate, evaluate_batch, mle)
 from levygof.streams import RandomStream
+from oracles import cn_unscaled, qcv_unscaled
 
 SAMPLE = sample_levy(LevyParams(c=3.0), 60, RandomStream(17))
 
@@ -107,6 +108,33 @@ class TestInvariance:
         # Location invariance means negative observations are legitimate.
         shifted = SAMPLE - SAMPLE.max()
         assert np.isfinite(evaluate(CN, shifted))
+
+
+class TestMagnitude:
+    # Squared deviations overflow above ~1e154 and underflow below ~1e-154,
+    # so cn and qcv scale each row by a power of two before their window
+    # variances. At x * 10**k every statistic equals its value at x, and every
+    # estimator is 10**k times its value.
+    ROWS = sample_levy(LevyParams(), 50, RandomStream(23), 200)
+
+    @pytest.mark.parametrize("k", [-300, -200, -100, 100, 200, 290])
+    @pytest.mark.parametrize("kind", list(_KERNELS))
+    def test_every_kind_at_any_magnitude(self, kind, k):
+        spec = StatisticSpec(kind)
+        base = evaluate_batch(spec, self.ROWS)
+        scaled = evaluate_batch(spec, self.ROWS * 10.0**k)
+        if kind in METHODS:
+            scaled /= 10.0**k
+        assert np.all(np.isfinite(base))
+        assert np.all(np.abs(scaled - base) <= 1e-9 * (1.0 + np.abs(base)))
+
+    def test_cn_and_qcv_equal_the_unscaled_forms(self):
+        # Scaling by a power of two is exact, so at ordinary magnitudes no
+        # value moves.
+        rows = np.sort(sample_levy(LevyParams(), 50, RandomStream(29), 4000), axis=1)
+        qcv, cn = StatisticSpec("qcv"), StatisticSpec("cn")
+        assert np.array_equal(evaluate_batch(qcv, rows), qcv_unscaled(rows, *qcv.splits))
+        assert np.array_equal(evaluate_batch(cn, rows), cn_unscaled(rows, *cn.splits))
 
 
 class TestScalarVsBatch:
