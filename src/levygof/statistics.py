@@ -37,8 +37,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import (EstimationError, QuantileSplit, _short_window, _values, theoretical_qcm,
-                          theoretical_qcv, window_bound, window_indices, window_mean, window_var)
+from .condmoments import (EstimationError, QuantileSplit, _short_window, _values, _window,
+                          theoretical_qcm, theoretical_qcv, window_bound, window_mean)
 
 __all__ = [
     "EstimationError",
@@ -84,27 +84,24 @@ def qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     return window_mean(xs, split) / theoretical_qcm(split, 1.0)
 
 
-def _unit_scaled(xs: np.ndarray, splits) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted rows over 2**e and the exponent e of each row, where 2**e is just
-    above the largest |x| in the windows. The windows of a sorted row lie
-    between its lowest window start and its highest window end, so that |x|
-    is the larger of the two.
+def _unit_var(xs: np.ndarray, split: QuantileSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Windowed variance of sorted rows over 4**e, and the exponent e of each
+    row, where 2**e is just above the largest |x| of the window (its first or
+    last value).
 
-    Window variances of the result neither overflow nor underflow at any
-    magnitude. Scaling by a power of two is exact, so a value at ordinary
-    magnitudes does not move.
+    Only the window is scaled, so the scaled variance neither overflows nor
+    underflows at any magnitude. Scaling by a power of two is exact, so a
+    value at ordinary magnitudes does not move.
     """
-    n = xs.shape[-1]
-    lo = min(window_indices(n, s)[0] for s in splits)
-    hi = max(window_indices(n, s)[1] for s in splits)
-    _, e = np.frexp(np.abs(xs[..., [lo, hi - 1]]).max(axis=-1, keepdims=True))
-    return np.ldexp(xs, -e), e[..., 0]
+    w = _window(xs, split, 2)
+    _, e = np.frexp(np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
+    return np.ldexp(w, -e[..., None]).var(axis=-1), e
 
 
 def qcv(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """QCV scale of sorted rows: root of the windowed variance over the Lv(1) constant."""
-    ys, e = _unit_scaled(xs, (split,))
-    return np.ldexp(np.sqrt(window_var(ys, split) / theoretical_qcv(split, 1.0)), e)
+    v, e = _unit_var(xs, split)
+    return np.ldexp(np.sqrt(v / theoretical_qcv(split, 1.0)), e)
 
 
 def mle(x: np.ndarray) -> np.ndarray:
@@ -174,10 +171,12 @@ def _tn(spec, batch):
 
 def _cn(spec, batch):
     s1, s2 = spec.splits
-    xs, _ = _unit_scaled(batch.sorted, spec.splits)
-    v1 = window_var(xs, s1) / theoretical_qcv(s1, 1.0)
-    v2 = window_var(xs, s2) / theoretical_qcv(s2, 1.0)
-    out = np.sqrt(xs.shape[1]) * (np.sqrt(v1 / v2) - 1.0)
+    xs = batch.sorted
+    v1, e1 = _unit_var(xs, s1)
+    v2, e2 = _unit_var(xs, s2)
+    v1 /= theoretical_qcv(s1, 1.0)
+    v2 /= theoretical_qcv(s2, 1.0)
+    out = np.sqrt(xs.shape[1]) * (np.ldexp(np.sqrt(v1 / v2), e1 - e2) - 1.0)
     out[(v1 <= 0.0) | (v2 <= 0.0)] = np.nan
     return out
 

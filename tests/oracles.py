@@ -12,7 +12,7 @@ code with the part of the package it checks:
   against the samplers of ``distributions``;
 * ``qcv_unscaled`` and ``cn_unscaled`` take the window variances of the rows
   as given, against the ``qcv`` and ``cn`` kernels of ``statistics``, which
-  first scale each row by a power of two; the two agree bit for bit at
+  first scale each window by a power of two; the two agree bit for bit at
   ordinary magnitudes;
 * ``fixture_sha256`` digests the embedded case-study data.
 """

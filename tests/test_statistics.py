@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
 from levygof.statistics import (_KERNELS, METHODS, STATISTIC_KINDS, Batch, EstimationError,
-                                StatisticSpec, evaluate, evaluate_batch, mle)
+                                StatisticSpec, evaluate, evaluate_batch, mle, qcv)
 from levygof.streams import RandomStream
 from oracles import cn_unscaled, qcv_unscaled
 
@@ -127,6 +127,21 @@ class TestMagnitude:
             scaled /= 10.0**k
         assert np.all(np.isfinite(base))
         assert np.all(np.abs(scaled - base) <= 1e-9 * (1.0 + np.abs(base)))
+
+    def test_values_outside_the_windows_are_not_scaled(self):
+        # Only the window is scaled: the tail above qcv's (0, 0.7) window and
+        # the head below a high window stay as they are, so neither overflows
+        # (the suite turns a RuntimeWarning into a failure).
+        low, high = QuantileSplit(0.0, 0.7), QuantileSplit(0.2, 0.99)
+        xs = np.array([[1e-300, 2e-300, 3e-300, 1e10]])
+        assert np.allclose(qcv(xs, low), qcv_unscaled(np.array([[1.0, 2.0, 3.0, 4.0]]), low) * 1e-300)
+        ys = np.array([[-1e300, 1e-300, 2e-300, 3e-300, 4e-300]])
+        assert np.allclose(qcv(ys, high),
+                           qcv_unscaled(np.array([[0.0, 1.0, 2.0, 3.0, 4.0]]), high) * 1e-300)
+        spread = np.concatenate([[1e-300], np.linspace(1.0, 2.0, 48), [1e300]])
+        rows = np.stack([spread, spread * 1e-250])
+        cn = evaluate_batch(StatisticSpec("cn"), rows)
+        assert np.all(np.isfinite(cn)) and np.isclose(cn[0], cn[1], rtol=1e-12)
 
     def test_cn_and_qcv_equal_the_unscaled_forms(self):
         # Scaling by a power of two is exact, so at ordinary magnitudes no
