@@ -8,6 +8,7 @@ human-readable columns. Exit codes: 0 success, 2 usage, 3 data/parse,
 Each value is one typed flag. A law is `levy[:c[,mu]]` or `family:p1,p2,...`
 (`sample --dist`; `power --alt` takes the families only), and a quantile
 window is one `--split a,b`, given once per window (twice for on and cn).
+Any other flag given twice is a usage error.
 """
 from __future__ import annotations
 
@@ -58,8 +59,28 @@ ERROR_EXIT_CODES = {
 }
 
 
+class _Once(argparse.Action):
+    """argparse's `store`, except that a second use of the flag is a usage error
+    (with `store` the last value would silently win)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"argument {'/'.join(self.option_strings)}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one `error:` line (a UsageError), not a usage block."""
+    """Reports a bad command line as one `error:` line (a UsageError), not a usage block.
+
+    Its flags, and those of its subcommands, store by `_Once`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+        self.register("action", "store", _Once)
 
     def error(self, message):
         raise UsageError(message)

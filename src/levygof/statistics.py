@@ -15,9 +15,11 @@ Six scale-ratio / characterization test statistics (``STATISTIC_KINDS``):
 * ``tn``  — ensemble of COV and QCM scale estimates against MLE.
 * ``cn``  — ratio of two windowed-conditional-variance scale estimates
             (scale AND location invariant).
-* ``ran`` — sum-stability kernel statistic on the MLE-scaled sample; its
-            n(n-1)/2 pair terms per row are evaluated once each, by cyclic
-            shifts, in blocks under a fixed memory budget.
+* ``ran`` — sum-stability kernel statistic on the MLE-scaled sample. Below
+            ``_EXP_SUM_N`` its n(n-1)/2 pair terms per row are evaluated once
+            each, by cyclic shifts; from there on the pair term is an
+            exponential sum of K = 77 terms, O(n K) per row. Both run in
+            blocks under a fixed memory budget.
 * ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
             row from prefix sums of the sorted row.
 
@@ -67,9 +69,22 @@ RAN_TUNING_DEFAULT = 0.2
 
 _TINY = 1e-300
 
-# Elements in each of the two reused buffers of the `ran` pair sum (2**15
-# float64 each, 512 KiB together).
+# Elements in each of the two reused buffers of the `ran` shift kernel (2**15
+# float64 each, 512 KiB together); the exponential sum has one buffer of
+# twice this.
 _PAIR_BUDGET = 2**15
+
+# `ran` evaluates its pair term as an exponential sum from this n on; below
+# it the O(n^2) shift kernel is faster.
+_EXP_SUM_N = 128
+
+# Trapezoid rule for u^-2.5 = Gamma(2.5)^-1 int exp(2.5 t - u e^t) dt at step
+# h = 1/4 on t in [-15, 4] (Beylkin & Monzon, ACHA 2010): u^-2.5 ~ sum_k w_k
+# exp(-tau_k u), tau_k = e^t_k, w_k = h e^(2.5 t_k) / Gamma(2.5), K = 77
+# nodes. For u >= 1 the error is below 2e-14 u^-2.5 + 1.5e-17; the second
+# term is the cut at t = -15.
+_EXP_TAU = np.exp(np.arange(-60, 17) / 4.0)
+_EXP_W = 0.25 * _EXP_TAU ** 2.5 / math.gamma(2.5)
 
 
 # --- row-wise kernels -------------------------------------------------------
@@ -181,27 +196,20 @@ def _cn(spec, batch):
     return out
 
 
-def _ran(spec, batch):
-    # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j):
-    # the diagonal (2 q_i)^-2.5 plus twice the sum over unordered pairs. Each
-    # unordered pair is (i, i + d mod n) for one cyclic shift d in 1..n//2,
-    # except that at d = n/2 (n even) every pair appears twice, so that shift
-    # is halved. Shift d is window d of q followed by its first half, a
-    # strided view. A block of shifts d0 <= d < d0 + h for a group of rows is
-    # evaluated in place in two reused buffers of _PAIR_BUDGET elements, as
-    # 1 / (u * u * sqrt(u)), which is faster than u ** -2.5 and also gives 0
-    # where u ** 2.5 overflows; then it is summed per row. The block shapes
-    # depend on n alone, so each row is summed in the same order whatever the
-    # batch; they leave room for at least 16 rows.
-    x = batch.x
-    b, n = x.shape
-    a = spec.tuning
+def _shift_pairs(q):
+    # The diagonal (2 q_i)^-2.5 plus twice the sum over unordered pairs.
+    # Each unordered pair {i, j} is (i, i + d mod n) for one cyclic shift d
+    # in 1..n//2, except that at d = n/2 (n even) every pair appears twice, so
+    # that shift is halved. Shift d is window d of q followed by its first
+    # half, a strided view. A block of shifts d0 <= d < d0 + h for a group of
+    # rows is evaluated in place in two reused buffers of _PAIR_BUDGET
+    # elements, as 1 / (u * u * sqrt(u)), which is faster than u ** -2.5 and
+    # also gives 0 where u ** 2.5 overflows; then it is summed per row. The
+    # block shapes depend on n alone, so each row is summed in the same order
+    # whatever the batch; they leave room for at least 16 rows.
+    b, n = q.shape
     half = n // 2
-    s = x / batch.mle[:, None]
-    wrapped = np.empty((b, n + half))
-    q = wrapped[:, :n]
-    np.add(a / 2.0, s / 4.0, out=q)
-    wrapped[:, n:] = q[:, :half]
+    wrapped = np.concatenate([q, q[:, :half]], axis=1)
     shifted = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
     height = max(1, min(half, _PAIR_BUDGET // (16 * n)))
     group = max(1, _PAIR_BUDGET // (height * n))
@@ -220,7 +228,52 @@ def _ran(spec, batch):
             if d0 + h > half and 2 * half == n:
                 t[:, -1] *= 0.5
             pairs[r0:r0 + g] += t.reshape(g, h * n).sum(axis=1)
-    pairs = ((2.0 * q) ** -2.5).sum(axis=1) + 2.0 * pairs
+    return ((2.0 * q) ** -2.5).sum(axis=1) + 2.0 * pairs
+
+
+def _exp_pairs(q):
+    # With v = 2 min q every pair sum of q / v is >= 1, and by the nodes of
+    # _EXP_TAU sum_ij (q_i + q_j)^-2.5 = v^-2.5 sum_k w_k (sum_i exp(-tau_k
+    # q_i / v))^2; p holds -q / v. The exponents are clipped at -700, where
+    # exp is still a normal number (a subnormal result costs ~100x the time);
+    # every row sum holds exp(-tau_k / 2) > 1e-12, so the clip moves no
+    # digit. A block of nodes for a group of rows is one (g, k, n) buffer of
+    # 2 * _PAIR_BUDGET elements (n of them when n is larger); its shape
+    # depends on n alone, so each row is summed in the same order whatever
+    # the batch.
+    b, n = q.shape
+    v = 2.0 * q.min(axis=1)
+    p = q / -v[:, None]
+    nodes = max(1, min(_EXP_TAU.size, 2 * _PAIR_BUDGET // n))
+    group = max(1, 2 * _PAIR_BUDGET // (nodes * n))
+    buf = np.empty(min(group, b) * nodes * n)
+    sums = np.empty((b, _EXP_TAU.size))
+    for r0 in range(0, b, group):
+        g = min(group, b - r0)
+        for k0 in range(0, _EXP_TAU.size, nodes):
+            k = min(nodes, _EXP_TAU.size - k0)
+            t = buf[:g * k * n].reshape(g, k, n)
+            np.multiply(p[r0:r0 + g, None, :], _EXP_TAU[k0:k0 + k, None], out=t)
+            np.maximum(t, -700.0, out=t)
+            np.exp(t, out=t)
+            t.sum(axis=2, out=sums[r0:r0 + g, k0:k0 + k])
+    sums *= sums
+    sums *= _EXP_W
+    return v ** -2.5 * sums.sum(axis=1)
+
+
+def _ran(spec, batch):
+    # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j):
+    # by cyclic shifts below _EXP_SUM_N, where it is O(n^2) per row, and by
+    # the O(n K) exponential sum from there on. Dispatch is on n alone, so a
+    # row gives the same value in any batch.
+    x = batch.x
+    n = x.shape[1]
+    a = spec.tuning
+    s = x / batch.mle[:, None]
+    q = s / 4.0
+    q += a / 2.0
+    pairs = (_shift_pairs if n < _EXP_SUM_N else _exp_pairs)(q)
     # The single-point terms -single_i - single_j summed over all pairs.
     single = n * ((a + s) ** -2.5).sum(axis=1)
     return 3.0 * np.sqrt(np.pi) / (4.0 * n * n) * (pairs - single)

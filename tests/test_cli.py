@@ -374,6 +374,17 @@ class TestOtherCommands:
         (("test", "--stat", "tn", "--split2", "0.1,0.5", "--fixture", "vessels"), "--split2"),
         (("test", "--stat", "tn", "--split", "0.1,0.5", "--split", "0.2,0.3", "--fixture",
           "vessels"), "takes 1 window(s), got 2"),
+        # A repeated flag used to keep its last value silently.
+        (("estimate", "--method", "qcm", "--split", "0.1,0.2", "--split", "0.3,0.4",
+          "--fixture", "vessels"), "argument --split: given more than once"),
+        (("diagnose", "--stat", "vn", "--stat", "on", "--n-grid", "20", "--replicates", "1000"),
+         "argument --stat: given more than once"),
+        (("calibrate", "--stat", "vn", "--replicates", "100", "--n-grid", "20", "--n-grid", "50"),
+         "argument --n-grid: given more than once"),
+        (("test", "--stat", "vn", "--fixture", "vessels", "--replicates", "100", "--seed", "1",
+          "--seed", "2"), "argument --seed: given more than once"),
+        (("power", "--stat", "vn", "--alt", "gamma:2,3", "--alt", "lognormal:0,1", "--n-grid",
+          "20", "--replicates", "100"), "argument --alt: given more than once"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "power-alt-levy", "bad-params",
             "on-one-window", "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-n-negative",
             "calibrate-n-0", "calibrate-n-grid-negative", "power-n-0", "diagnose-n-grid-0",
@@ -386,7 +397,8 @@ class TestOtherCommands:
             "gamma-one-param", "levy-three-params", "gamma-with-c-and-mu", "stat-not-a-choice",
             "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
             "calibrate-on-split-to-1", "test-tn-split-to-1", "test-tn-split2",
-            "test-tn-two-windows"])
+            "test-tn-two-windows", "estimate-split-twice", "diagnose-stat-twice",
+            "calibrate-n-grid-twice", "test-seed-twice", "power-alt-twice"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")

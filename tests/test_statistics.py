@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
-from levygof.statistics import (_KERNELS, METHODS, STATISTIC_KINDS, Batch, EstimationError,
-                                StatisticSpec, evaluate, evaluate_batch, mle, qcv)
+from levygof.statistics import (_EXP_SUM_N, _EXP_TAU, _EXP_W, _KERNELS, METHODS, STATISTIC_KINDS,
+                                Batch, EstimationError, StatisticSpec, evaluate, evaluate_batch,
+                                mle, qcv)
 from levygof.streams import RandomStream
 from oracles import cn_unscaled, qcv_unscaled
 
@@ -290,18 +291,45 @@ class TestPairKernels:
         for k in range(x.shape[0]):
             assert np.array_equal(fast[k:k + 1], evaluate_batch(spec, x[k:k + 1]), equal_nan=True)
 
-    @pytest.mark.parametrize("family", ["levy", "decades"])
-    @pytest.mark.parametrize("tuning", [0.2, 3.0])
-    @pytest.mark.parametrize("n", [250, 251])
+    @pytest.mark.parametrize("family", ["levy", "ties", "decades"])
+    @pytest.mark.parametrize("tuning", [1e-200, 0.05, 0.2, 3.0, 1e3])
+    @pytest.mark.parametrize("n", [_EXP_SUM_N - 1, _EXP_SUM_N, 250, 251, 1000])
     def test_ran_matches_dense_oracle_in_several_blocks(self, n, tuning, family):
-        # The strategy above stops at n = 80, a single block of shifts; here
-        # the shifts span several blocks, and at even n the half shift sits
-        # inside the last one.
-        x = _family_rows(family, np.random.default_rng(n), 8, n)
+        # The strategy above stops at n = 80, a single block of shifts. Just
+        # below _EXP_SUM_N the shifts span several blocks, and at even n the
+        # half shift sits inside the last one; from _EXP_SUM_N on the pair
+        # term is the exponential sum, in several row groups (and at n = 1000
+        # several blocks of nodes).
+        x = _family_rows(family, np.random.default_rng(n), 3 if n == 1000 else 8, n)
         spec = StatisticSpec("ran", tuning=tuning)
         fast, dense = evaluate_batch(spec, x), _dense(spec, x)
         assert np.isfinite(dense).all()
         assert (np.abs(fast - dense) <= 1e-12 * (1.0 + np.abs(dense))).all()
+
+    @pytest.mark.parametrize("n", [_EXP_SUM_N, 251, 1000])
+    def test_ran_exp_sum_is_the_same_in_any_batch(self, n):
+        rows = sample_levy(LevyParams(), n, RandomStream(4, 0), 512)
+        rows[3, 5] = 0.0
+        rows[9, 0] = -1.0
+        out = evaluate_batch(StatisticSpec("ran"), rows)
+        assert np.isnan(out[[3, 9]]).all()
+        assert np.isfinite(np.delete(out, [3, 9])).all()
+        for size in (1, 7):
+            for r0 in (0, 3, 505):
+                part = evaluate_batch(StatisticSpec("ran"), rows[r0:r0 + size].copy())
+                assert np.array_equal(part, out[r0:r0 + size], equal_nan=True)
+
+    def test_exp_sum_nodes(self):
+        # sum_k w_k exp(-V tau_k) against V^-2.5 for pair sums V >= 1. The cut
+        # at t = -15 leaves an error floor near 1.2e-17: the bound is relative
+        # where V^-2.5 >= 1e-3 (V <= 15.8), absolute beyond.
+        v = np.logspace(0.0, 8.0, 961)
+        approx = (_EXP_W * np.exp(-v[:, None] * _EXP_TAU)).sum(axis=1)
+        exact = v ** -2.5
+        err = np.abs(approx - exact)
+        big = exact >= 1e-3
+        assert (err[big] <= 3e-14 * exact[big]).all()
+        assert (err[~big] <= 3e-17).all()
 
     @pytest.mark.parametrize("kind", ["ran", "deltan"])
     def test_memory_bounded(self, kind):
