@@ -12,7 +12,7 @@ import numpy as np
 
 from levygof.condmoments import QuantileSplit
 from levygof.distributions import LevyParams
-from levygof.montecarlo import ReplicationPlan, simulate_null
+from levygof.montecarlo import ReplicationPlan, check_grid, simulate_null
 from levygof.statistics import StatisticSpec
 
 # The estimators of the comparison study; QCV on its default window (0, 0.7).
@@ -33,9 +33,7 @@ def main():
         LevyParams(c=args.c)
         plan = ReplicationPlan(args.seed, args.replicates)
         n_grid = [int(v) for v in args.n_grid.split(",")]
-        for n in n_grid:
-            for spec in SPECS:
-                spec.check_n(n)
+        check_grid(SPECS, n_grid)
     except ValueError as e:
         ap.error(str(e))
 

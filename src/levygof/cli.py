@@ -7,23 +7,26 @@ human-readable columns. Exit codes: 0 success, 2 usage, 3 data/parse,
 
 Each value is one typed flag. A law is `levy[:c[,mu]]` or `family:p1,p2,...`
 (`sample --dist`; `power --alt` takes the families only), and a quantile
-window is one `--split a,b`, given once per window (twice for on and cn).
-Any other flag given twice is a usage error.
+window is one `--split a,b`, given once per window (twice for on and cn) of
+a single `--stat`. `power` takes `--stat` and `--alt` once per statistic and
+alternative, and runs the paper's alternatives when `--alt` is left out. Any
+other flag given twice is a usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .condmoments import EstimationError, QuantileSplit
 from .datasets import FIXTURES, fixture_analysis
-from .distributions import (AlternativeSpec, LevyParams, family_name, levy_cdf,
-                            sample_alternative, sample_levy)
-from .montecarlo import (ReplicationPlan, _check_level, calibrate, normality_diagnostic,
-                         power_study, run_test, simulate_null)
+from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams, family_name,
+                            levy_cdf, sample_alternative, sample_levy)
+from .montecarlo import (ReplicationPlan, _check_level, calibrate, check_grid,
+                         normality_diagnostic, power_grid, run_test, simulate_null)
 from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate
 from .streams import RandomStream
 
@@ -145,26 +148,25 @@ def read_observations(path: str, column: int | None = None) -> np.ndarray:
     """One number per line; blank lines and # comments skipped.
 
     With `column`, lines are treated as CSV and the given 0-based column
-    is extracted. Parse failures report the line number.
+    is extracted. Parse failures report the line number. Each line is
+    decoded on its own, and a byte that is not UTF-8 reads as U+FFFD: it
+    fails to parse in a value, on that value's line, and is harmless in a
+    comment or in another CSV column.
     """
     out = []
-    stream = sys.stdin if path == "-" else open(path)
-    try:
-        for lineno, line in enumerate(stream, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            token = body.split(",")[column].strip() if column is not None else body
-            try:
-                value = float(token)
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: cannot parse {body!r}")
-            if not np.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {body!r}")
-            out.append(value)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        body = raw.decode(errors="replace").split("#", 1)[0].strip()
+        if not body:
+            continue
+        token = body.split(",")[column].strip() if column is not None else body
+        try:
+            value = float(token)
+        except (ValueError, IndexError):
+            raise DataError(f"{path}:{lineno}: cannot parse {body!r}")
+        if not np.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite value {body!r}")
+        out.append(value)
     if not out:
         raise DataError(f"{path}: no observations found")
     return np.array(out)
@@ -218,11 +220,11 @@ def _stat_spec(flag: str, kind: str, splits) -> StatisticSpec:
         raise UsageError(f"bad --split for {flag} {kind}: {e}")
 
 
-def _sizes(args, spec: StatisticSpec) -> list[int]:
-    """The --n-grid sizes, all checked before the first one is simulated."""
-    for n in args.n_grid:
-        spec.check_n(n)
-    return args.n_grid
+def _specs(args, kinds) -> tuple[StatisticSpec, ...]:
+    """The spec of each of `kinds`; --split windows go with exactly one --stat."""
+    if args.split and len(kinds) != 1:
+        raise UsageError("--split applies to exactly one --stat")
+    return tuple(_stat_spec("--stat", kind, args.split) for kind in kinds)
 
 
 def cmd_sample(args, emit: Emitter) -> int:
@@ -245,12 +247,7 @@ def cmd_estimate(args, emit: Emitter) -> int:
 
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
-    if args.all:
-        if args.split:
-            raise UsageError("--split does not apply to --all")
-        specs = tuple(StatisticSpec(kind) for kind in ALL_TEST_KINDS)
-    else:
-        specs = (_stat_spec("--stat", args.stat, args.split),)
+    specs = _specs(args, ALL_TEST_KINDS if args.all else (args.stat,))
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     failures = 0
     bound = 1.0 / (plan.replicates + 1)
@@ -278,7 +275,8 @@ def cmd_test(args, emit: Emitter) -> int:
 def cmd_calibrate(args, emit: Emitter) -> int:
     spec = _stat_spec("--stat", args.stat, args.split)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for n in _sizes(args, spec):
+    check_grid((spec,), args.n_grid)
+    for n in args.n_grid:
         (nd,) = simulate_null((spec,), n, plan)
         lower, upper = calibrate(nd, args.level)
         emit.record({"stat": spec.kind, "n": n, "level": args.level,
@@ -288,11 +286,10 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 
 
 def cmd_power(args, emit: Emitter) -> int:
-    spec = _stat_spec("--stat", args.stat, args.split)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for n in _sizes(args, spec):
-        (cell,) = power_study(simulate_null((spec,), n, plan), args.alt, args.level)
-        emit.record({"stat": cell.kind, "alt": args.alt.label(), "n": cell.n,
+    for cell in power_grid(_specs(args, args.stat), args.alt or PAPER_ALTERNATIVES,
+                           args.n_grid, plan, args.level):
+        emit.record({"stat": cell.kind, "alt": cell.alternative.label(), "n": cell.n,
                      "level": cell.level, "power": cell.power,
                      "std_error": cell.std_error, "replicates": cell.replicates,
                      "failed_replicates": cell.failed_replicates,
@@ -303,7 +300,8 @@ def cmd_power(args, emit: Emitter) -> int:
 def cmd_diagnose(args, emit: Emitter) -> int:
     spec = _stat_spec("--stat", args.stat, args.split)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for n in _sizes(args, spec):
+    check_grid((spec,), args.n_grid)
+    for n in args.n_grid:
         rep = normality_diagnostic(spec, n, plan, bins=args.bins)
         emit.record({"stat": rep.kind, "n": rep.n,
                      "fitted_mean": rep.fitted_mean, "fitted_std": rep.fitted_std,
@@ -340,9 +338,10 @@ def _add_mc_flags(p):
                         "chunk of replicates (512, fewer when n > 2048)")
 
 
-def _add_stat_flags(p, group=None):
+def _add_stat_flags(p, group=None, action=None):
     # --stat is required unless it sits in a mutually exclusive `group`.
-    (group or p).add_argument("--stat", choices=STATISTIC_KINDS, required=group is None)
+    (group or p).add_argument("--stat", choices=STATISTIC_KINDS, required=group is None,
+                              action=action)
     p.add_argument("--split", type=_typed(_split), action="append",
                    help="a,b window; once per window (twice for on/cn)")
 
@@ -393,10 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_typed(_level), default=0.05)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("power", help="empirical power against an alternative")
-    _add_stat_flags(p)
-    p.add_argument("--alt", required=True, type=_typed(_alt),
-                   help="family:p1,p2,... e.g. lognormal:0,1")
+    p = sub.add_parser("power", help="empirical power against alternatives")
+    _add_stat_flags(p, action="append")
+    p.add_argument("--alt", type=_typed(_alt), action="append",
+                   help="family:p1,p2,... e.g. lognormal:0,1; once per alternative "
+                        "(the paper's 12 when left out)")
     _add_n_grid(p)
     _add_mc_flags(p)
     p.add_argument("--level", type=_typed(_level), default=0.05)

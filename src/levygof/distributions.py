@@ -13,6 +13,7 @@ __all__ = [
     "LevyParams",
     "AlternativeSpec",
     "ALTERNATIVE_FAMILIES",
+    "PAPER_ALTERNATIVES",
     "family_name",
     "levy_cdf",
     "levy_pdf",
@@ -208,7 +209,31 @@ class AlternativeSpec:
                 raise ValueError(f"{fam} parameter {i} must be > 0")
 
     def label(self) -> str:
-        return f"{self.family}({','.join(format(v, 'g') for v in self.params)})"
+        """family(p1,p2,...): each value in its `g` format when that reads back
+        as the value, else in full, so two distinct specs never share a label."""
+        return f"{self.family}({','.join(_label_value(v) for v in self.params)})"
+
+
+def _label_value(v: float) -> str:
+    text = format(v, "g")
+    return text if float(text) == v else repr(v)
+
+
+# The alternatives of the paper's power study, in the order of its tables.
+PAPER_ALTERNATIVES = tuple(AlternativeSpec(fam, params) for fam, params in (
+    ("gamma", (2.0, 3.0)),
+    ("chisquared", (4.0,)),
+    ("weibull", (1.75, 1.0)),
+    ("lognormal", (0.0, 1.0)),
+    ("pareto", (0.75, 1.0)),
+    ("pareto", (1.5, 0.5)),
+    ("rayleigh", (1.0,)),
+    ("halfnormal", (1.0,)),
+    ("frechet", (0.0, 0.5, 1.0)),
+    ("absloggamma", (3.0, 2.0)),
+    ("invgaussian", (1.0, 1.5)),
+    ("burr", (1.5, 0.5, 0.5)),
+))
 
 
 def sample_alternative(spec: AlternativeSpec, n: int, stream: RandomStream,

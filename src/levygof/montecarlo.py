@@ -1,8 +1,9 @@
 """Deterministic parallel Monte Carlo engine.
 
 Null-distribution simulation, two-sided threshold calibration, simulated
-p-values, power studies against the benchmark alternatives, and normality
-diagnostics of the null laws.
+p-values, power studies against the benchmark alternatives (one cell, or the
+grid of statistics x alternatives x sample sizes), and normality diagnostics
+of the null laws.
 
 Determinism contract: every replicate draws from its own random stream keyed
 by (master seed, replicate index), and replicates are processed in chunks
@@ -30,11 +31,13 @@ __all__ = [
     "PowerCell",
     "DiagnosticReport",
     "MonteCarloError",
+    "check_grid",
     "simulate_null",
     "calibrate",
     "p_value",
     "run_test",
     "power_study",
+    "power_grid",
     "normality_diagnostic",
 ]
 
@@ -132,6 +135,17 @@ def _chunk_task(args):
     return np.stack([evaluate_batch(spec, rows, batch) for spec in specs])
 
 
+def check_grid(specs, n_grid) -> None:
+    """Raise EstimationError unless every statistic is defined at every n.
+
+    Callers run it before the first draw, so that a grid's output is all
+    or nothing.
+    """
+    for spec in specs:
+        for n in n_grid:
+            spec.check_n(n)
+
+
 def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, first: int,
               draw, params) -> np.ndarray:
     """Values of each statistic on the same samples from streams first ...
@@ -142,8 +156,7 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     whose row k comes from stream index + k, and its statistics share one
     `Batch` of those rows.
     """
-    for spec in specs:
-        spec.check_n(n)
+    check_grid(specs, (n,))
     b = plan.replicates
     chunk = min(CHUNK, max(1, CHUNK_VALUES // n))
     out = np.empty((len(specs), b))
@@ -263,6 +276,24 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
         cells.append(PowerCell(nd.spec.kind, alt, n, level, power, b, se,
                                int(np.sum(~np.isfinite(v)))))
     return tuple(cells)
+
+
+def power_grid(specs: tuple[StatisticSpec, ...], alts, n_grid, plan: ReplicationPlan,
+               level: float) -> list[PowerCell]:
+    """The power of each statistic against each alternative at each n, in
+    (statistic, alternative, n) order.
+
+    The level and every statistic at every n are checked before the first
+    draw. One `simulate_null` per n serves every statistic, and its nulls
+    serve every alternative (see power_study).
+    """
+    _check_level(level)
+    check_grid(specs, n_grid)
+    # Lazy: each size's nulls are drawn when its cells are, and not kept.
+    nulls = (simulate_null(specs, n, plan) for n in n_grid)
+    # cells[j][a] holds a cell per statistic at n_grid[j] against alts[a].
+    cells = [[power_study(null, alt, level) for alt in alts] for null in nulls]
+    return [by_n[a][k] for k in range(len(specs)) for a in range(len(alts)) for by_n in cells]
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,12 +14,14 @@ import pytest
 
 import levygof
 import levygof.montecarlo as mc
-from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE,
+from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, _alt,
                          build_parser, main, read_observations)
 from levygof.datasets import fixture_analysis
+from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec
 from levygof.statistics import StatisticSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+POWER_TABLE = Path(__file__).resolve().parents[1] / "scripts" / "power_table.py"
 
 
 def run(capsys, *argv):
@@ -118,6 +121,27 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--method", "mle", "--input", str(f))
         assert code == EXIT_DATA
         assert ":2:" in err
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_non_utf8_line_is_data_error(self, tmp_path, capsys, monkeypatch, stdin):
+        # Line 1 is longer than any decoding chunk, so a reader that decodes
+        # in chunks would not know the line of the bad bytes.
+        text = b"1.0" + b" " * 10000 + b"\n" + b"2.0\n" * 5 + b"\xff\xfe2.0\n"
+        f = tmp_path / "bad.txt"
+        f.write_bytes(text)
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text)))
+        path = "-" if stdin else str(f)
+        code, out, err = run(capsys, "estimate", "--method", "mle", "--input", path)
+        assert code == EXIT_DATA
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}:7: cannot parse")
+
+    def test_non_utf8_comment_is_skipped(self, tmp_path):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes(b"# caf\xe9\nna\xefve,1.5\r\nb,2.5\n")
+        assert np.array_equal(read_observations(str(f), column=1), [1.5, 2.5])
 
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "estimate", "--method", "mle")
@@ -246,6 +270,48 @@ class TestOtherCommands:
         rec = records(out)[0]
         assert 0.0 <= rec["power"] <= 1.0
         assert rec["alt"] == "lognormal(0,1)"
+
+    def test_power_runs_the_paper_alternatives_without_alt(self, capsys):
+        code, out, _ = run(capsys, "power", "--stat", "vn", "--stat", "tn", "--n-grid", "20,30",
+                           "--replicates", "200", "--seed", "3")
+        assert code == EXIT_OK
+        labels = [alt.label() for alt in PAPER_ALTERNATIVES]
+        assert [(r["stat"], r["alt"], r["n"]) for r in records(out)] == [
+            (kind, label, n) for kind in ("vn", "tn") for label in labels for n in (20, 30)]
+
+    def test_power_prints_the_records_of_the_power_table_script(self, capsys):
+        # The script's records are power's, without `replicates` and `seed`.
+        grid = ("--n-grid", "20,50", "--replicates", "300", "--seed", "5")
+        code, out, _ = run(capsys, "power", "--stat", "vn", "--stat", "on", "--stat", "tn",
+                           "--stat", "cn", *grid)
+        assert code == EXIT_OK
+        script = subprocess.run(
+            [sys.executable, str(POWER_TABLE), "--stats", "vn,on,tn,cn", *grid],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        trimmed = []
+        for rec in records(out):
+            assert (rec.pop("replicates"), rec.pop("seed")) == (300, 5)
+            trimmed.append(json.dumps(rec) + "\n")
+        assert "".join(trimmed) == script.stdout
+
+    def test_paper_alternative_labels(self):
+        assert [alt.label() for alt in PAPER_ALTERNATIVES] == [
+            "gamma(2,3)", "chisquared(4)", "weibull(1.75,1)", "lognormal(0,1)",
+            "pareto(0.75,1)", "pareto(1.5,0.5)", "rayleigh(1)", "halfnormal(1)",
+            "frechet(0,0.5,1)", "absloggamma(3,2)", "invgaussian(1,1.5)", "burr(1.5,0.5,0.5)"]
+
+    @pytest.mark.parametrize("alt", [*PAPER_ALTERNATIVES, AlternativeSpec("gamma", (2.0000001, 3)),
+                                     AlternativeSpec("lognormal", (0.1 + 0.2, 1e-300))],
+                             ids=lambda alt: alt.label())
+    def test_label_parses_back_to_its_spec(self, alt):
+        fam, params = alt.label().rstrip(")").split("(")
+        assert _alt(f"{fam}:{params}") == alt
+
+    def test_distinct_specs_get_distinct_labels(self):
+        assert (AlternativeSpec("gamma", (2, 3)).label(),
+                AlternativeSpec("gamma", (2.0000001, 3)).label()) == (
+            "gamma(2,3)", "gamma(2.0000001,3)")
 
     def test_diagnose_record(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--stat", "tn", "--n-grid", "50",
@@ -383,8 +449,8 @@ class TestOtherCommands:
          "argument --n-grid: given more than once"),
         (("test", "--stat", "vn", "--fixture", "vessels", "--replicates", "100", "--seed", "1",
           "--seed", "2"), "argument --seed: given more than once"),
-        (("power", "--stat", "vn", "--alt", "gamma:2,3", "--alt", "lognormal:0,1", "--n-grid",
-          "20", "--replicates", "100"), "argument --alt: given more than once"),
+        (("power", "--stat", "vn", "--stat", "on", "--split", "0,0.3", "--n-grid", "20",
+          "--replicates", "100"), "--split applies to exactly one --stat"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "power-alt-levy", "bad-params",
             "on-one-window", "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-n-negative",
             "calibrate-n-0", "calibrate-n-grid-negative", "power-n-0", "diagnose-n-grid-0",
@@ -398,7 +464,7 @@ class TestOtherCommands:
             "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
             "calibrate-on-split-to-1", "test-tn-split-to-1", "test-tn-split2",
             "test-tn-two-windows", "estimate-split-twice", "diagnose-stat-twice",
-            "calibrate-n-grid-twice", "test-seed-twice", "power-alt-twice"])
+            "calibrate-n-grid-twice", "test-seed-twice", "power-two-stats-with-split"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")
@@ -459,16 +525,20 @@ class TestOtherCommands:
         assert code == EXIT_USAGE
         assert out == ""
 
-    @pytest.mark.parametrize("cmd", ["calibrate", "power", "diagnose"])
-    def test_infeasible_grid_size_fails_before_the_first(self, capsys, cmd):
-        alt = ("--alt", "lognormal:0,1") if cmd == "power" else ()
-        code, out, err = run(capsys, cmd, "--stat", "vn", *alt, "--n-grid", "20,1",
-                             "--replicates", "1000")
+    @pytest.mark.parametrize("argv, needle", [
+        (("calibrate", "--stat", "vn", "--n-grid", "20,1"), "got 1"),
+        (("power", "--stat", "vn", "--alt", "lognormal:0,1", "--n-grid", "20,1"), "got 1"),
+        (("diagnose", "--stat", "vn", "--n-grid", "20,1"), "got 1"),
+        # vn is defined at both sizes; on needs n >= 7.
+        (("power", "--stat", "vn", "--stat", "on", "--n-grid", "20,5"), "statistic on"),
+    ], ids=["calibrate", "power", "diagnose", "power-two-stats"])
+    def test_infeasible_grid_size_fails_before_the_first(self, capsys, argv, needle):
+        code, out, err = run(capsys, *argv, "--replicates", "1000")
         assert code == EXIT_ESTIMATION
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "got 1" in lines[0]
+        assert needle in lines[0]
 
     def test_infeasible_window_is_one_error_line(self, capsys):
         # Feasible at n = 5, but the second window is empty at n = 7.

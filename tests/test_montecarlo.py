@@ -4,9 +4,10 @@ from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 import levygof.montecarlo as mc
-from levygof.distributions import AlternativeSpec, sample_alternative
+from levygof.condmoments import EstimationError
+from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec, sample_alternative
 from levygof.montecarlo import (CHUNK, MonteCarloError, ReplicationPlan, calibrate,
-                                normality_diagnostic, p_value, power_study,
+                                normality_diagnostic, p_value, power_grid, power_study,
                                 run_test, simulate_null)
 from levygof.statistics import STATISTIC_KINDS, StatisticSpec, evaluate_batch
 from levygof.streams import RandomStream
@@ -209,6 +210,33 @@ class TestPower:
         assert cell.power == float(np.mean(reject))
         assert cell.failed_replicates == int(np.sum(~np.isfinite(vals)))
         assert (cell.kind, cell.n, cell.replicates) == ("tn", n, b)
+
+
+class TestPowerGrid:
+    def test_cells_in_stat_alt_n_order(self):
+        specs = (StatisticSpec("vn"), StatisticSpec("tn"))
+        alts = PAPER_ALTERNATIVES[3:5]
+        cells = power_grid(specs, alts, [20, 30], plan(300, seed=9), 0.05)
+        assert [(c.kind, c.alternative, c.n) for c in cells] == [
+            (spec.kind, alt, n) for spec in specs for alt in alts for n in (20, 30)]
+        # Each cell is the one power_study gives on the same null.
+        nulls = {n: simulate_null(specs, n, plan(300, seed=9)) for n in (20, 30)}
+        kinds = [spec.kind for spec in specs]
+        assert cells == [power_study(nulls[c.n], c.alternative, 0.05)[kinds.index(c.kind)]
+                         for c in cells]
+
+    @pytest.mark.parametrize("level, n_grid, error, match", [
+        (0.0, [20], ValueError, "level must be in"),
+        (0.05, [20, 5], EstimationError, "statistic on needs n >= 7, got 5"),
+        (0.05, [1, 20], EstimationError, "statistic vn needs n >= 2, got 1"),
+    ], ids=["level-0", "on-at-5", "vn-at-1"])
+    def test_checks_before_the_first_draw(self, monkeypatch, level, n_grid, error, match):
+        def no_draw(*args):
+            raise AssertionError("a bad setting was found only after drawing replicates")
+        monkeypatch.setattr(mc, "_simulate", no_draw)
+        specs = (StatisticSpec("vn"), StatisticSpec("on"))
+        with pytest.raises(error, match=match):
+            power_grid(specs, PAPER_ALTERNATIVES, n_grid, plan(100), level)
 
 
 class TestDiagnostics:

@@ -1,0 +1,34 @@
+"""What perfbench/workloads.py expects of the program it runs.
+
+The power-grid workload counts the records it should see from the paper's
+alternatives, its statistics and its sizes. A later edit to the table of
+alternatives would otherwise change that count without a failing test. The
+perfbench modules are imported as they are, without changes.
+"""
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+from workloads import POWER_ALTERNATIVES, WORKLOADS, Command, child_env  # noqa: E402
+
+from levygof.distributions import PAPER_ALTERNATIVES  # noqa: E402
+
+
+def test_power_grid_counts_the_paper_alternatives():
+    assert len(PAPER_ALTERNATIVES) == POWER_ALTERNATIVES
+
+
+def test_power_grid_prints_its_record_count():
+    workload = WORKLOADS["power-grid"]
+    commands = workload.commands(0)
+    assert len(commands) == len(workload.records_per_command)
+    for cmd, expected in zip(commands, workload.records_per_command):
+        # The workload's statistics and sizes at a smaller replicate count.
+        args = list(cmd.args)
+        args[args.index("--replicates") + 1] = "100"
+        done = subprocess.run(Command(tuple(args), cmd.script).argv(), capture_output=True,
+                              text=True, env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == expected
