@@ -1,27 +1,36 @@
 """Scale estimation and goodness-of-fit testing for the one-sided Levy law."""
 
-from .condmoments import EstimationError, QuantileSplit, theoretical_qcm, theoretical_qcv
-from .datasets import fixture_analysis, fixture_raw
-from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams, levy_cdf, levy_pdf,
-                            levy_quantile, sample_alternative, sample_levy)
-from .montecarlo import (DiagnosticReport, NullDistribution, PowerCell,
-                         ReplicationPlan, TestReport, calibrate,
-                         normality_diagnostic, p_value, power_study, run_test,
-                         power_grid, simulate_null)
-from .statistics import ScaleEstimate, StatisticSpec, estimate, evaluate
-from .streams import RandomStream
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QuantileSplit", "theoretical_qcm", "theoretical_qcv",
-    "fixture_analysis", "fixture_raw",
-    "AlternativeSpec", "LevyParams", "levy_cdf", "levy_pdf", "levy_quantile",
-    "PAPER_ALTERNATIVES", "sample_alternative", "sample_levy",
-    "EstimationError", "ScaleEstimate", "estimate",
-    "DiagnosticReport", "NullDistribution", "PowerCell", "ReplicationPlan",
-    "TestReport", "calibrate", "normality_diagnostic", "p_value",
-    "power_grid", "power_study", "run_test", "simulate_null",
-    "StatisticSpec", "evaluate",
-    "RandomStream",
-]
+# Each exported name and the submodule that defines it. A name is imported on
+# first use (PEP 562), so `import levygof` alone loads no submodule and no
+# NumPy, and changes no setting of the process.
+_SUBMODULE = {name: module for module, names in [
+    ("condmoments", "QuantileSplit theoretical_qcm theoretical_qcv"),
+    ("datasets", "fixture_analysis fixture_raw"),
+    ("distributions", "AlternativeSpec LevyParams levy_cdf levy_pdf levy_quantile "
+                      "PAPER_ALTERNATIVES sample_alternative sample_levy"),
+    ("condmoments", "EstimationError"),
+    ("statistics", "ScaleEstimate estimate"),
+    ("montecarlo", "DiagnosticReport NullDistribution PowerCell ReplicationPlan "
+                   "TestReport calibrate normality_diagnostic p_value "
+                   "power_grid power_study run_test simulate_null"),
+    ("statistics", "StatisticSpec evaluate"),
+    ("streams", "RandomStream"),
+] for name in names.split()}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULE})

@@ -16,19 +16,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# levygof calls no BLAS routine (tests/test_cli.py checks the sources), yet
+# OpenBLAS starts a worker thread per extra core when NumPy loads, a fixed cost
+# of every cold start. So the command, not the library, asks for one thread,
+# before anything below loads NumPy. A value the user set wins, and pool
+# workers inherit the setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .condmoments import EstimationError, QuantileSplit
-from .datasets import FIXTURES, fixture_analysis
-from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams, family_name,
-                            levy_cdf, sample_alternative, sample_levy)
-from .montecarlo import (ReplicationPlan, _check_level, calibrate, check_grid,
+import numpy as np  # noqa: E402
+
+from .condmoments import EstimationError, QuantileSplit  # noqa: E402
+from .datasets import FIXTURES, fixture_analysis  # noqa: E402
+from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams,  # noqa: E402
+                            family_name, levy_cdf, sample_alternative, sample_levy)
+from .montecarlo import (ReplicationPlan, _check_level, calibrate, check_grid,  # noqa: E402
                          normality_diagnostic, power_grid, run_test, simulate_null)
-from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate
-from .streams import RandomStream
+from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate  # noqa: E402
+from .streams import RandomStream  # noqa: E402
 
 __all__ = ["main"]
 

@@ -595,10 +595,10 @@ def test_readme_commands_use_exact_option_strings():
         assert flags <= set(found[sub] + found[""]), " ".join(words)
 
 
-def run_in_subprocess(code, *argv):
+def run_in_subprocess(code, *argv, env=None):
+    env = {**(os.environ if env is None else env), "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-                          check=True)
+                          env=env, check=True)
 
 
 # Runs the CLI on argv under a 1 GiB address-space cap of its own process.
@@ -620,7 +620,55 @@ CLI_THEN_SCIPY = ("import sys; from levygof.cli import main; code = main(sys.arg
                   "file=sys.stderr); sys.exit(code)")
 
 
+# Names whose call would reach BLAS, which cli.py's OPENBLAS_NUM_THREADS
+# setting assumes no levygof module makes.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    return []
+
+
 class TestStartup:
+    def test_package_import_loads_no_numpy(self):
+        code = ("import sys, levygof; "
+                "print('numpy' in sys.modules, set(levygof.__all__) <= set(dir(levygof)))")
+        assert run_in_subprocess(code).stdout.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+    def test_cli_import_runs_openblas_on_one_thread_unless_set(self, given, expected):
+        # Built here: this process imported levygof.cli, so os.environ carries
+        # the setting already.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = ("import os, levygof.cli; task = '/proc/self/task'; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "len(os.listdir(task)) if os.path.isdir(task) else 0)")
+        value, threads = run_in_subprocess(code, env=env).stdout.split()
+        assert value == expected
+        if given is None and sys.platform.startswith("linux") and (os.cpu_count() or 1) >= 2:
+            assert threads == "1"
+
+    def test_package_calls_no_blas(self):
+        src = Path(levygof.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.MatMult)
+                found = {"@"} if matmul else BLAS_NAMES & set(_names(node))
+                assert not found, (f"{path.name} line {node.lineno} uses "
+                                   f"{found}: BLAS would run on one thread, as cli.py sets "
+                                   "OPENBLAS_NUM_THREADS=1; revisit that setting first")
+
     def test_import_leaves_out_scipy(self):
         code = ("import sys, levygof.cli; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
