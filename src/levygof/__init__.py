@@ -16,7 +16,7 @@ _SUBMODULE = {name: module for module, names in [
     ("statistics", "ScaleEstimate estimate"),
     ("montecarlo", "DiagnosticReport NullDistribution PowerCell ReplicationPlan "
                    "TestReport calibrate normality_diagnostic p_value "
-                   "power_grid power_study run_test simulate_null"),
+                   "null_grid power_grid power_study run_test simulate_null"),
     ("statistics", "StatisticSpec evaluate"),
     ("streams", "RandomStream"),
 ] for name in names.split()}

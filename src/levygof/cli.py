@@ -8,9 +8,11 @@ human-readable columns. Exit codes: 0 success, 2 usage, 3 data/parse,
 Each value is one typed flag. A law is `levy[:c[,mu]]` or `family:p1,p2,...`
 (`sample --dist`; `power --alt` takes the families only), and a quantile
 window is one `--split a,b`, given once per window (twice for on and cn) of
-a single `--stat`. `power` takes `--stat` and `--alt` once per statistic and
-alternative, and runs the paper's alternatives when `--alt` is left out. Any
-other flag given twice is a usage error.
+a single `--stat`. `test`, `calibrate`, `power` and `diagnose` take `--stat`
+once per statistic, and `power` takes `--alt` once per alternative (the
+paper's alternatives when `--alt` is left out). One null draw per size serves
+every statistic, and records come in statistic, (alternative,) size order.
+Any other flag given twice is a usage error.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ from .condmoments import EstimationError, QuantileSplit  # noqa: E402
 from .datasets import FIXTURES, fixture_analysis  # noqa: E402
 from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams,  # noqa: E402
                             family_name, levy_cdf, sample_alternative, sample_levy)
-from .montecarlo import (ReplicationPlan, _check_level, calibrate, check_grid,  # noqa: E402
-                         normality_diagnostic, power_grid, run_test, simulate_null)
+from .montecarlo import (ReplicationPlan, _check_diagnostic, _check_level,  # noqa: E402
+                         calibrate, normality_diagnostic, null_grid, power_grid, run_test)
 from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate  # noqa: E402
 from .streams import RandomStream  # noqa: E402
 
@@ -237,7 +239,11 @@ def _specs(args, kinds) -> tuple[StatisticSpec, ...]:
 
 def cmd_sample(args, emit: Emitter) -> int:
     draw = sample_levy if isinstance(args.dist, LevyParams) else sample_alternative
-    for v in draw(args.dist, args.n, RandomStream(args.seed, 0)):
+    values = draw(args.dist, args.n, RandomStream(args.seed, 0))
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise UsageError(f"argument --dist: the law drew {bad[0]}, a value --input rejects")
+    for v in values:
         print(format(v, ".17g"), file=emit.out)
     return EXIT_OK
 
@@ -255,7 +261,7 @@ def cmd_estimate(args, emit: Emitter) -> int:
 
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
-    specs = _specs(args, ALL_TEST_KINDS if args.all else (args.stat,))
+    specs = _specs(args, ALL_TEST_KINDS if args.all else args.stat)
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
     failures = 0
     bound = 1.0 / (plan.replicates + 1)
@@ -280,17 +286,22 @@ def cmd_test(args, emit: Emitter) -> int:
     return EXIT_ESTIMATION if failures == len(specs) else EXIT_OK
 
 
-def cmd_calibrate(args, emit: Emitter) -> int:
-    spec = _stat_spec("--stat", args.stat, args.split)
+def _emit_grid(args, emit: Emitter, record) -> int:
+    """Emits record(nd) for the null nd of each --stat at each --n-grid size, in
+    statistic, size order, from one null draw per size."""
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    check_grid((spec,), args.n_grid)
-    for n in args.n_grid:
-        (nd,) = simulate_null((spec,), n, plan)
-        lower, upper = calibrate(nd, args.level)
-        emit.record({"stat": spec.kind, "n": n, "level": args.level,
-                     "lower": lower, "upper": upper,
-                     "replicates": plan.replicates, "seed": plan.master_seed})
+    for rec in null_grid(_specs(args, args.stat), args.n_grid, plan,
+                         lambda nulls: [[record(nd)] for nd in nulls]):
+        emit.record(rec)
     return EXIT_OK
+
+
+def cmd_calibrate(args, emit: Emitter) -> int:
+    def record(nd):
+        lower, upper = calibrate(nd, args.level)
+        return {"stat": nd.spec.kind, "n": nd.n, "level": args.level, "lower": lower,
+                "upper": upper, "replicates": nd.plan.replicates, "seed": nd.plan.master_seed}
+    return _emit_grid(args, emit, record)
 
 
 def cmd_power(args, emit: Emitter) -> int:
@@ -306,17 +317,15 @@ def cmd_power(args, emit: Emitter) -> int:
 
 
 def cmd_diagnose(args, emit: Emitter) -> int:
-    spec = _stat_spec("--stat", args.stat, args.split)
-    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    check_grid((spec,), args.n_grid)
-    for n in args.n_grid:
-        rep = normality_diagnostic(spec, n, plan, bins=args.bins)
-        emit.record({"stat": rep.kind, "n": rep.n,
-                     "fitted_mean": rep.fitted_mean, "fitted_std": rep.fitted_std,
-                     "ks_distance": rep.ks_distance, "replicates": rep.replicates,
-                     "bin_edges": rep.bin_edges, "counts": rep.counts,
-                     "seed": args.seed})
-    return EXIT_OK
+    _check_diagnostic(args.replicates, args.bins)
+
+    def record(nd):
+        rep = normality_diagnostic(nd, bins=args.bins)
+        return {"stat": rep.kind, "n": rep.n, "fitted_mean": rep.fitted_mean,
+                "fitted_std": rep.fitted_std, "ks_distance": rep.ks_distance,
+                "replicates": rep.replicates, "bin_edges": rep.bin_edges,
+                "counts": rep.counts, "seed": args.seed}
+    return _emit_grid(args, emit, record)
 
 
 def cmd_ppplot(args, emit: Emitter) -> int:
@@ -342,14 +351,15 @@ def _add_mc_flags(p):
     p.add_argument("--replicates", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=_typed(_seed), default=0)
     p.add_argument("--workers", type=_at_least(1), default=1,
-                   help="worker processes; capped at one per CPU core and per "
-                        "chunk of replicates (512, fewer when n > 2048)")
+                   help="worker processes, at most one per CPU core and per chunk of "
+                        "replicates (512; fewer above n = 2048, one row of 8n bytes above 2**20)")
 
 
-def _add_stat_flags(p, group=None, action=None):
-    # --stat is required unless it sits in a mutually exclusive `group`.
+def _add_stat_flags(p, group=None):
+    # --stat, once per statistic, is required unless it sits in a mutually
+    # exclusive `group`.
     (group or p).add_argument("--stat", choices=STATISTIC_KINDS, required=group is None,
-                              action=action)
+                              action="append")
     p.add_argument("--split", type=_typed(_split), action="append",
                    help="a,b window; once per window (twice for on/cn)")
 
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("power", help="empirical power against alternatives")
-    _add_stat_flags(p, action="append")
+    _add_stat_flags(p)
     p.add_argument("--alt", type=_typed(_alt), action="append",
                    help="family:p1,p2,... e.g. lognormal:0,1; once per alternative "
                         "(the paper's 12 when left out)")

@@ -82,8 +82,12 @@ def _draw(n: int, stream: RandomStream, rows: int | None, fill) -> np.ndarray:
     streams = [stream] if rows is None else RandomStream.block(
         stream.master_seed, stream.stream_index, stream.stream_index + rows)
     out = np.empty((len(streams), n))
-    for s, row in zip(streams, out):
-        fill(s.generator(), row)
+    # Extreme parameters may draw inf (e.g. Frechet with a tiny shape). The
+    # values stand, without a NumPy warning, for the caller to judge: `sample`
+    # refuses them, and a power study counts them as failed replicates.
+    with np.errstate(all="ignore"):
+        for s, row in zip(streams, out):
+            fill(s.generator(), row)
     return out if rows is not None else out[0]
 
 
@@ -98,7 +102,8 @@ def sample_levy(p: LevyParams, n: int, stream: RandomStream,
     """
     z = _draw(n, stream, rows, lambda rng, row: rng.standard_normal(n, out=row))
     z *= z
-    np.divide(p.c, z, out=z)
+    with np.errstate(all="ignore"):  # a huge c overflows to inf, as in _draw
+        np.divide(p.c, z, out=z)
     z += p.mu
     return z
 

@@ -1,9 +1,11 @@
 """Deterministic parallel Monte Carlo engine.
 
 Null-distribution simulation, two-sided threshold calibration, simulated
-p-values, power studies against the benchmark alternatives (one cell, or the
-grid of statistics x alternatives x sample sizes), and normality diagnostics
-of the null laws.
+p-values, power studies against the benchmark alternatives, and normality
+diagnostics of the null laws. A grid of statistics x sample sizes is one
+`null_grid` call: one null draw per size serves every statistic, and a
+reducer (thresholds, a diagnostic, or power against each alternative, as in
+`power_grid`) turns it into records.
 
 Determinism contract: every replicate draws from its own random stream keyed
 by (master seed, replicate index), and replicates are processed in chunks
@@ -37,14 +39,16 @@ __all__ = [
     "p_value",
     "run_test",
     "power_study",
+    "null_grid",
     "power_grid",
     "normality_diagnostic",
 ]
 
-# Replicates are processed in chunks of at most CHUNK rows and at most
-# CHUNK_VALUES drawn values (8 MiB of float64), so that results do not depend
-# on how the chunk list is split across workers and a chunk's memory does not
-# grow with n.
+# Replicates are processed in chunks of min(CHUNK, max(1, CHUNK_VALUES // n))
+# rows, a size that depends on n alone, so that results do not depend on how
+# the chunk list is split across workers. Up to n = CHUNK_VALUES a chunk holds
+# at most CHUNK_VALUES drawn values (8 MiB of float64); above it a chunk is one
+# row of n values (8n bytes), so its memory grows with n.
 CHUNK = 512
 CHUNK_VALUES = 2**20
 
@@ -58,8 +62,9 @@ class ReplicationPlan:
     """Master seed, replicate count B and advisory worker count.
 
     The worker count is an upper bound: a simulation runs at most one worker
-    per chunk of replicates (512, or 2**20 // n when n > 2048) and per CPU
-    core.
+    per chunk of replicates and per CPU core. A chunk is 512 replicates, or
+    2**20 // n when n > 2048, but never less than one row: above n = 2**20
+    it is one row of 8n bytes.
 
     Replicate i draws from stream (master_seed, i). A null simulation uses
     streams 0 ... B-1; a power study on that null draws its alternative
@@ -278,22 +283,31 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
     return tuple(cells)
 
 
+def null_grid(specs: tuple[StatisticSpec, ...], n_grid, plan: ReplicationPlan, reduce) -> list:
+    """The records of each statistic at each n, in (statistic, record, n) order.
+
+    Every statistic is checked at every n before the first draw. One
+    `simulate_null` per n serves every statistic: `reduce(nulls)` turns that
+    size's nulls into one list of records per statistic, and the nulls are
+    dropped before the next size is drawn.
+    """
+    check_grid(specs, n_grid)
+    by_n = [reduce(simulate_null(specs, n, plan)) for n in n_grid]
+    return [rec for by_stat in zip(*by_n) for recs in zip(*by_stat) for rec in recs]
+
+
 def power_grid(specs: tuple[StatisticSpec, ...], alts, n_grid, plan: ReplicationPlan,
                level: float) -> list[PowerCell]:
     """The power of each statistic against each alternative at each n, in
     (statistic, alternative, n) order.
 
-    The level and every statistic at every n are checked before the first
-    draw. One `simulate_null` per n serves every statistic, and its nulls
-    serve every alternative (see power_study).
+    The level, and every statistic at every n, are checked before the first
+    draw. Each size's nulls serve every alternative (see power_study and
+    null_grid).
     """
     _check_level(level)
-    check_grid(specs, n_grid)
-    # Lazy: each size's nulls are drawn when its cells are, and not kept.
-    nulls = (simulate_null(specs, n, plan) for n in n_grid)
-    # cells[j][a] holds a cell per statistic at n_grid[j] against alts[a].
-    cells = [[power_study(null, alt, level) for alt in alts] for null in nulls]
-    return [by_n[a][k] for k in range(len(specs)) for a in range(len(alts)) for by_n in cells]
+    return null_grid(specs, n_grid, plan,
+                     lambda nulls: zip(*(power_study(nulls, alt, level) for alt in alts)))
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -306,24 +320,27 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-v * root_half) for v in z.tolist()])
 
 
-def normality_diagnostic(spec: StatisticSpec, n: int, plan: ReplicationPlan,
-                         bins: int = 50) -> DiagnosticReport:
-    """Histogram of the null law, moment-fitted normal, and KS distance.
+def _check_diagnostic(replicates: int, bins: int) -> None:
+    """Raise ValueError unless `replicates` null draws in `bins` bins make a
+    diagnostic; `levygof diagnose` runs it before the first draw."""
+    if replicates < 1000:
+        raise ValueError("diagnostic needs at least 1000 replicates")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+
+
+def normality_diagnostic(nd: NullDistribution, bins: int = 50) -> DiagnosticReport:
+    """Histogram of a simulated null law, moment-fitted normal, and KS distance.
 
     The KS distance compares the standardized null draws with the standard
     normal law; small values support the asymptotic-normality claims.
     """
-    if plan.replicates < 1000:
-        raise ValueError("diagnostic needs at least 1000 replicates")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    (nd,) = simulate_null((spec,), n, plan)
-    mean = float(nd.values.mean())
-    std = float(nd.values.std())
+    _check_diagnostic(nd.replicates, bins)
+    mean, std = float(nd.values.mean()), float(nd.values.std())
     counts, edges = np.histogram(nd.values, bins=bins)
     z = np.sort((nd.values - mean) / std)
     cdf = _normal_cdf(z)
     b = z.size
     i = np.arange(1, b + 1)
     ks = float(np.max(np.maximum(i / b - cdf, cdf - (i - 1) / b)))
-    return DiagnosticReport(spec.kind, n, edges, counts, mean, std, ks, nd.replicates)
+    return DiagnosticReport(nd.spec.kind, nd.n, edges, counts, mean, std, ks, nd.replicates)

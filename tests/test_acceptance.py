@@ -185,7 +185,8 @@ def test_criterion6_power_spot_checks(kind, alt, n, level, expected):
 def test_criterion7_normal_fit_at_n1000(kind):
     from levygof.montecarlo import normality_diagnostic
 
-    rep = normality_diagnostic(StatisticSpec(kind), 1000, ReplicationPlan(SEED, 10**4))
+    rep = normality_diagnostic(*simulate_null((StatisticSpec(kind),), 1000,
+                                              ReplicationPlan(SEED, 10**4)))
     assert rep.ks_distance < 0.05
 
 

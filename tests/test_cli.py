@@ -90,6 +90,16 @@ class TestSample:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[law]
 
+    # These laws draw inf, which `--input` would reject when read back.
+    @pytest.mark.parametrize("law", ["frechet:0,1,1e-300", "pareto:1e-300,1", "levy:1e308"])
+    def test_non_finite_draw_is_a_usage_error(self, capsys, law):
+        code, out, err = run(capsys, "sample", "--dist", law, "--n", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--dist" in lines[0] and "inf" in lines[0]
+
 
 class TestEstimate:
     def test_mle_constant(self, tmp_path, capsys):
@@ -295,6 +305,13 @@ class TestOtherCommands:
             trimmed.append(json.dumps(rec) + "\n")
         assert "".join(trimmed) == script.stdout
 
+    def test_power_counts_non_finite_alternative_draws_as_failed(self, capsys):
+        code, out, err = run(capsys, "power", "--stat", "vn", "--alt", "frechet:0,1,1e-300",
+                             "--n-grid", "20", "--replicates", "100")
+        assert (code, err) == (EXIT_OK, "")
+        (rec,) = records(out)
+        assert (rec["failed_replicates"], rec["power"]) == (100, 1.0)
+
     def test_paper_alternative_labels(self):
         assert [alt.label() for alt in PAPER_ALTERNATIVES] == [
             "gamma(2,3)", "chisquared(4)", "weibull(1.75,1)", "lognormal(0,1)",
@@ -443,8 +460,8 @@ class TestOtherCommands:
         # A repeated flag used to keep its last value silently.
         (("estimate", "--method", "qcm", "--split", "0.1,0.2", "--split", "0.3,0.4",
           "--fixture", "vessels"), "argument --split: given more than once"),
-        (("diagnose", "--stat", "vn", "--stat", "on", "--n-grid", "20", "--replicates", "1000"),
-         "argument --stat: given more than once"),
+        (("diagnose", "--stat", "vn", "--n-grid", "20", "--replicates", "1000", "--bins", "5",
+          "--bins", "6"), "argument --bins: given more than once"),
         (("calibrate", "--stat", "vn", "--replicates", "100", "--n-grid", "20", "--n-grid", "50"),
          "argument --n-grid: given more than once"),
         (("test", "--stat", "vn", "--fixture", "vessels", "--replicates", "100", "--seed", "1",
@@ -463,7 +480,7 @@ class TestOtherCommands:
             "gamma-one-param", "levy-three-params", "gamma-with-c-and-mu", "stat-not-a-choice",
             "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
             "calibrate-on-split-to-1", "test-tn-split-to-1", "test-tn-split2",
-            "test-tn-two-windows", "estimate-split-twice", "diagnose-stat-twice",
+            "test-tn-two-windows", "estimate-split-twice", "diagnose-bins-twice",
             "calibrate-n-grid-twice", "test-seed-twice", "power-two-stats-with-split"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
@@ -549,6 +566,60 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "window (0.3, 0.4)" in lines[0]
+
+
+def _no_draw(*args):
+    raise AssertionError("a bad setting was found only after drawing replicates")
+
+
+class TestStatGrid:
+    """`--stat` is given once per statistic; one null draw per size serves all of them."""
+
+    @pytest.mark.parametrize("argv, kinds", [
+        # kernel-n250's pair of commands, at fewer replicates.
+        (("diagnose", "--n-grid", "100,250", "--replicates", "1000", "--seed", "1"),
+         ("deltan", "ran")),
+        (("calibrate", "--n-grid", "20,30", "--replicates", "600", "--seed", "3", "--workers",
+          "2"), ("vn", "on")),
+        (("test", "--fixture", "vessels", "--replicates", "600", "--seed", "3"), ("ran", "vn")),
+    ], ids=["diagnose-deltan-ran", "calibrate", "test"])
+    def test_two_stats_print_the_single_stat_outputs_in_turn(self, capsys, argv, kinds):
+        alone = ""
+        for kind in kinds:
+            code, out, _ = run(capsys, *argv, "--stat", kind)
+            assert code == EXIT_OK
+            alone += out
+        code, out, _ = run(capsys, *argv, *(a for kind in kinds for a in ("--stat", kind)))
+        assert code == EXIT_OK
+        assert out == alone
+
+    def test_diagnose_draws_one_null_per_size(self, capsys, monkeypatch):
+        calls = []
+        simulate_null = mc.simulate_null
+
+        def counted(specs, n, plan):
+            calls.append(([spec.kind for spec in specs], n))
+            return simulate_null(specs, n, plan)
+        monkeypatch.setattr(mc, "simulate_null", counted)
+        code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--stat", "tn", "--n-grid", "20,30",
+                           "--replicates", "1000")
+        assert code == EXIT_OK
+        assert calls == [(["vn", "tn"], 20), (["vn", "tn"], 30)]
+        assert [(r["stat"], r["n"]) for r in records(out)] == [
+            ("vn", 20), ("vn", 30), ("tn", 20), ("tn", 30)]
+
+    @pytest.mark.parametrize("argv, expected, needle", [
+        (("--n-grid", "20", "--replicates", "999"), EXIT_USAGE, "1000 replicates"),
+        # on needs n >= 7.
+        (("--n-grid", "20,5", "--replicates", "1000"), EXIT_ESTIMATION, "statistic on"),
+    ], ids=["replicates-999", "on-infeasible-at-the-second-size"])
+    def test_diagnose_fails_before_any_draw(self, capsys, monkeypatch, argv, expected, needle):
+        monkeypatch.setattr(mc, "_simulate", _no_draw)
+        code, out, err = run(capsys, "diagnose", "--stat", "vn", "--stat", "on", *argv)
+        assert (code, out) == (expected, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert needle in lines[0]
 
 
 def option_sets() -> dict[str, list[str]]:

@@ -190,6 +190,15 @@ class TestAlternatives:
             x = sample_alternative(spec, 2000, RandomStream(5))
             assert x.min() >= 0.0, spec.label()
 
+    def test_non_finite_draws_stand_without_a_warning(self):
+        # Frechet with a tiny shape draws Weibull zeros, so 1/0 = inf.
+        spec = AlternativeSpec("frechet", (0.0, 1.0, 1e-300))
+        x = sample_alternative(spec, 50, RandomStream(4))
+        with np.errstate(all="ignore"):
+            expected = RandomStream(4).generator().weibull(1e-300, size=50) ** -1.0
+        assert np.isinf(x).any()
+        assert np.array_equal(x, expected)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             AlternativeSpec("cauchy", (1.0,))

@@ -7,8 +7,8 @@ import levygof.montecarlo as mc
 from levygof.condmoments import EstimationError
 from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec, sample_alternative
 from levygof.montecarlo import (CHUNK, MonteCarloError, ReplicationPlan, calibrate,
-                                normality_diagnostic, p_value, power_grid, power_study,
-                                run_test, simulate_null)
+                                normality_diagnostic, null_grid, p_value, power_grid,
+                                power_study, run_test, simulate_null)
 from levygof.statistics import STATISTIC_KINDS, StatisticSpec, evaluate_batch
 from levygof.streams import RandomStream
 
@@ -239,20 +239,53 @@ class TestPowerGrid:
             power_grid(specs, PAPER_ALTERNATIVES, n_grid, plan(100), level)
 
 
+class TestNullGrid:
+    def test_records_in_stat_record_n_order(self):
+        specs = (StatisticSpec("vn"), StatisticSpec("tn"))
+
+        def reduce(nulls):  # two records per statistic
+            return [[(nd.spec.kind, "min", nd.n, nd.values[0]),
+                     (nd.spec.kind, "max", nd.n, nd.values[-1])] for nd in nulls]
+        recs = null_grid(specs, [20, 30], plan(300), reduce)
+        nulls = {n: simulate_null(specs, n, plan(300)) for n in (20, 30)}
+        assert recs == [(spec.kind, end, n, nulls[n][k].values[0 if end == "min" else -1])
+                        for k, spec in enumerate(specs) for end in ("min", "max")
+                        for n in (20, 30)]
+
+    def test_checks_every_size_before_the_first_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a bad setting was found only after drawing replicates")
+        monkeypatch.setattr(mc, "_simulate", no_draw)
+        with pytest.raises(EstimationError, match="statistic on needs n >= 7, got 5"):
+            null_grid((StatisticSpec("vn"), StatisticSpec("on")), [20, 5], plan(100),
+                      lambda nulls: [[nd.n] for nd in nulls])
+
+
 class TestDiagnostics:
     def test_counts_sum_to_replicates(self):
-        rep = normality_diagnostic(StatisticSpec("vn"), 100, plan(2000), bins=40)
+        rep = normality_diagnostic(*simulate_null((StatisticSpec("vn"),), 100, plan(2000)),
+                                   bins=40)
         assert rep.counts.sum() == 2000
         assert rep.bin_edges.size == 41
 
     def test_ks_improves_with_n(self):
-        small = normality_diagnostic(StatisticSpec("vn"), 20, plan(3000))
-        large = normality_diagnostic(StatisticSpec("vn"), 1000, plan(3000))
+        small = normality_diagnostic(*simulate_null((StatisticSpec("vn"),), 20, plan(3000)))
+        large = normality_diagnostic(*simulate_null((StatisticSpec("vn"),), 1000, plan(3000)))
         assert large.ks_distance < small.ks_distance
 
+    def test_takes_a_null_and_draws_nothing(self, monkeypatch):
+        (nd,) = simulate_null((StatisticSpec("vn"),), 40, plan(1000))
+
+        def no_draw(*args):
+            raise AssertionError("the diagnostic drew its own null")
+        monkeypatch.setattr(mc, "_simulate", no_draw)
+        rep = normality_diagnostic(nd, bins=10)
+        assert (rep.kind, rep.n, rep.replicates, int(rep.counts.sum())) == ("vn", 40, 1000, 1000)
+
     def test_minimum_replicates(self):
+        (nd,) = simulate_null((StatisticSpec("vn"),), 100, plan(500))
         with pytest.raises(ValueError):
-            normality_diagnostic(StatisticSpec("vn"), 100, plan(500))
+            normality_diagnostic(nd)
 
     def test_normal_cdf_matches_ndtr(self):
         # scipy.special.ndtr is the reference the scipy-free CDF replaced.
@@ -261,8 +294,8 @@ class TestDiagnostics:
 
     def test_ks_distance_matches_ndtr_reference(self):
         spec, p = StatisticSpec("ran"), plan(1500, seed=6)
-        rep = normality_diagnostic(spec, 50, p)
         (nd,) = simulate_null((spec,), 50, p)
+        rep = normality_diagnostic(nd)
         z = np.sort((nd.values - nd.values.mean()) / nd.values.std())
         cdf = ndtr(z)
         i = np.arange(1, z.size + 1)
