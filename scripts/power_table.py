@@ -37,11 +37,7 @@ def main():
     except ValueError as e:
         ap.error(str(e))
     for cell in cells:
-        print(json.dumps({
-            "stat": cell.kind, "alt": cell.alternative.label(), "n": cell.n,
-            "level": cell.level, "power": cell.power, "std_error": cell.std_error,
-            "failed_replicates": cell.failed_replicates,
-        }))
+        print(json.dumps({k: v for k, v in cell.items() if k not in ("replicates", "seed")}))
 
 
 if __name__ == "__main__":

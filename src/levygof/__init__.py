@@ -14,9 +14,8 @@ _SUBMODULE = {name: module for module, names in [
                       "PAPER_ALTERNATIVES sample_alternative sample_levy"),
     ("condmoments", "EstimationError"),
     ("statistics", "ScaleEstimate estimate"),
-    ("montecarlo", "DiagnosticReport NullDistribution PowerCell ReplicationPlan "
-                   "TestReport calibrate normality_diagnostic p_value "
-                   "null_grid power_grid power_study run_test simulate_null"),
+    ("montecarlo", "NullDistribution ReplicationPlan calibrate normality_diagnostic "
+                   "p_value null_grid power_grid power_study run_test simulate_null"),
     ("statistics", "StatisticSpec evaluate"),
     ("streams", "RandomStream"),
 ] for name in names.split()}

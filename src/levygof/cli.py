@@ -3,7 +3,7 @@
 Subcommands: sample, estimate, test, calibrate, power, diagnose, ppplot.
 Output is line-delimited JSON by default; `--table` switches to aligned
 human-readable columns. Exit codes: 0 success, 2 usage, 3 data/parse,
-4 estimation or statistic precondition failure.
+4 estimation or statistic precondition failure, 141 output pipe closed.
 
 Each value is one typed flag. A law is `levy[:c[,mu]]` or `family:p1,p2,...`
 (`sample --dist`; `power --alt` takes the families only), and a quantile
@@ -17,9 +17,12 @@ Any other flag given twice is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 # levygof calls no BLAS routine (tests/test_cli.py checks the sources), yet
@@ -46,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_ESTIMATION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE killed
 
 # Statistics reported by `test --all`: the case-study battery.
 ALL_TEST_KINDS = ("vn", "tn", "on", "deltan", "ran")
@@ -161,10 +165,12 @@ def read_observations(path: str, column: int | None = None) -> np.ndarray:
     is extracted. Parse failures report the line number. Each line is
     decoded on its own, and a byte that is not UTF-8 reads as U+FFFD: it
     fails to parse in a value, on that value's line, and is harmless in a
-    comment or in another CSV column.
+    comment or in another CSV column. A leading UTF-8 byte-order mark, which
+    spreadsheet exports often write, is dropped.
     """
     out = []
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    data = data.removeprefix(b"\xef\xbb\xbf")
     for lineno, raw in enumerate(data.splitlines(), start=1):
         body = raw.decode(errors="replace").split("#", 1)[0].strip()
         if not body:
@@ -262,28 +268,11 @@ def cmd_estimate(args, emit: Emitter) -> int:
 def cmd_test(args, emit: Emitter) -> int:
     data = _load_data(args)
     specs = _specs(args, ALL_TEST_KINDS if args.all else args.stat)
-    plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    failures = 0
-    bound = 1.0 / (plan.replicates + 1)
-    for spec, rep in zip(specs, run_test(specs, data, args.level, plan)):
-        if isinstance(rep, EstimationError):
-            failures += 1
-            emit.record({"stat": spec.kind, "error": str(rep)})
-            continue
-        rec = {
-            "stat": rep.kind,
-            "value": rep.value,
-            "p_value": rep.p,
-            "p_bound": f"<{2.0 * bound:.2g}" if rep.p <= 2.0 * bound else None,
-            "level": rep.level,
-            "reject": rep.reject,
-            "lower": rep.lower,
-            "upper": rep.upper,
-            "replicates": rep.replicates,
-            "seed": rep.seed,
-        }
+    records = run_test(specs, data, args.level,
+                       ReplicationPlan(args.seed, args.replicates, args.workers))
+    for rec in records:
         emit.record(rec)
-    return EXIT_ESTIMATION if failures == len(specs) else EXIT_OK
+    return EXIT_ESTIMATION if all("error" in rec for rec in records) else EXIT_OK
 
 
 def _emit_grid(args, emit: Emitter, record) -> int:
@@ -306,26 +295,15 @@ def cmd_calibrate(args, emit: Emitter) -> int:
 
 def cmd_power(args, emit: Emitter) -> int:
     plan = ReplicationPlan(args.seed, args.replicates, args.workers)
-    for cell in power_grid(_specs(args, args.stat), args.alt or PAPER_ALTERNATIVES,
-                           args.n_grid, plan, args.level):
-        emit.record({"stat": cell.kind, "alt": cell.alternative.label(), "n": cell.n,
-                     "level": cell.level, "power": cell.power,
-                     "std_error": cell.std_error, "replicates": cell.replicates,
-                     "failed_replicates": cell.failed_replicates,
-                     "seed": args.seed})
+    for rec in power_grid(_specs(args, args.stat), args.alt or PAPER_ALTERNATIVES,
+                          args.n_grid, plan, args.level):
+        emit.record(rec)
     return EXIT_OK
 
 
 def cmd_diagnose(args, emit: Emitter) -> int:
     _check_diagnostic(args.replicates, args.bins)
-
-    def record(nd):
-        rep = normality_diagnostic(nd, bins=args.bins)
-        return {"stat": rep.kind, "n": rep.n, "fitted_mean": rep.fitted_mean,
-                "fitted_std": rep.fitted_std, "ks_distance": rep.ks_distance,
-                "replicates": rep.replicates, "bin_edges": rep.bin_edges,
-                "counts": rep.counts, "seed": args.seed}
-    return _emit_grid(args, emit, record)
+    return _emit_grid(args, emit, lambda nd: normality_diagnostic(nd, bins=args.bins))
 
 
 def cmd_ppplot(args, emit: Emitter) -> int:
@@ -434,23 +412,70 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream records go to: stdout, or the --out file `path`.
+
+    The file is written as a temporary file next to its target (through a
+    symlink), made before the command runs, and it replaces the target only
+    when the command returns; on an exception it is removed and the old file
+    stays. A new file gets the mode `open(path, "w")` would give it, an old one
+    keeps its mode. A target that exists and is not a regular file (a FIFO, a
+    device) is written directly.
+    """
+    if not path:
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    target = os.path.realpath(path)
+    try:
+        old = os.stat(target)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(target, "w") as f:
+            yield f
+        return
+    if old is None:
+        mask = os.umask(0)
+        os.umask(mask)
+        mode = 0o666 & ~mask
+    else:
+        os.close(os.open(target, os.O_WRONLY))  # a file we may not write stays an error
+        mode = stat.S_IMODE(old.st_mode)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as e:
+        e.filename = path  # the error names the target, not the temporary file
+        raise
+    try:
+        os.fchmod(fd, mode)
+        with open(fd, "w") as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
-    out = sys.stdout
     try:
         args = build_parser().parse_args(argv)
         # Opened inside the try: an unwritable --out is a data error (exit 3).
-        if args.out:
-            out = open(args.out, "w")
-        code = args.func(args, Emitter(out, args.table))
+        with _output(args.out) as out:
+            code = args.func(args, Emitter(out, args.table))
+    except BrokenPipeError:
+        # The reader left (`levygof sample ... | head -1`): no error line, and
+        # stdout points at devnull so that the flush at shutdown is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     except tuple(ERROR_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         code = next(c for cls, c in ERROR_EXIT_CODES.items() if isinstance(e, cls))
     except SystemExit as e:
         # --help exits the parser after printing usage; its errors are UsageErrors.
         code = e.code
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return code
 
 

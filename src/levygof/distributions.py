@@ -185,7 +185,8 @@ def family_name(text: str) -> str:
     return text.lower().replace("-", "").replace("_", "")
 
 
-# Families whose parameters may legitimately include zero (Frechet location).
+# The parameters, by index, that need not be positive: the lognormal mu and the
+# Frechet location m take any finite value; every other parameter must be > 0.
 _ZERO_OK = {"frechet": {0}, "lognormal": {0}}
 
 

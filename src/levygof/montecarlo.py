@@ -29,9 +29,6 @@ from .streams import RandomStream
 __all__ = [
     "ReplicationPlan",
     "NullDistribution",
-    "TestReport",
-    "PowerCell",
-    "DiagnosticReport",
     "MonteCarloError",
     "check_grid",
     "simulate_null",
@@ -94,43 +91,6 @@ class NullDistribution:
     @property
     def replicates(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class TestReport:
-    kind: str
-    value: float
-    p: float
-    level: float
-    reject: bool
-    lower: float
-    upper: float
-    replicates: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class PowerCell:
-    kind: str
-    alternative: AlternativeSpec
-    n: int
-    level: float
-    power: float
-    replicates: int
-    std_error: float
-    failed_replicates: int = 0
-
-
-@dataclass(frozen=True)
-class DiagnosticReport:
-    kind: str
-    n: int
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    fitted_mean: float
-    fitted_std: float
-    ks_distance: float
-    replicates: int
 
 
 def _chunk_task(args):
@@ -226,11 +186,14 @@ def p_value(nd: NullDistribution, observed: float) -> float:
 
 
 def run_test(specs: tuple[StatisticSpec, ...], sample, level: float,
-             plan: ReplicationPlan) -> tuple[TestReport | EstimationError, ...]:
+             plan: ReplicationPlan) -> tuple[dict, ...]:
     """Evaluate each statistic on data and test it against its simulated null.
 
+    Each statistic gets the record `levygof test` prints. `p_bound` is
+    "<2/(B+1)" when the p-value is that smallest attainable value, else None.
     A statistic undefined on the data (e.g. a window too small at its n) gets
-    its EstimationError in place of a report; the others share one null draw.
+    an error record {"stat", "error"} in its place; the others share one null
+    draw.
     """
     _check_level(level)
     s = np.asarray(sample, dtype=float).ravel()
@@ -239,22 +202,27 @@ def run_test(specs: tuple[StatisticSpec, ...], sample, level: float,
         try:
             results.append(evaluate(spec, s))
         except EstimationError as e:
-            results.append(e)
-    ok = [i for i, r in enumerate(results) if not isinstance(r, EstimationError)]
+            results.append({"stat": spec.kind, "error": str(e)})
+    ok = [i for i, r in enumerate(results) if not isinstance(r, dict)]
     if ok:
         nulls = simulate_null(tuple(specs[i] for i in ok), s.size, plan)
+        bound = 2.0 / (plan.replicates + 1)
         for i, nd in zip(ok, nulls):
             value = results[i]
+            p = p_value(nd, value)
             lower, upper = calibrate(nd, level)
-            results[i] = TestReport(nd.spec.kind, value, p_value(nd, value), level,
-                                    not lower <= value <= upper, lower, upper,
-                                    plan.replicates, plan.master_seed)
+            results[i] = {"stat": nd.spec.kind, "value": value, "p_value": p,
+                          "p_bound": f"<{bound:.2g}" if p <= bound else None,
+                          "level": level, "reject": not lower <= value <= upper,
+                          "lower": lower, "upper": upper, "replicates": plan.replicates,
+                          "seed": plan.master_seed}
     return tuple(results)
 
 
 def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
-                level: float) -> tuple[PowerCell, ...]:
-    """Rejection frequency under the alternative with each null's thresholds.
+                level: float) -> tuple[dict, ...]:
+    """Rejection frequency under the alternative with each null's thresholds:
+    one `levygof power` record per null.
 
     The nulls share n, seed, B and worker count; their replicates used streams
     0 ... B-1 of the seed. The alternative's B samples use streams B ... 2B-1
@@ -264,7 +232,7 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
     A replicate on which the statistic is undefined (e.g. a nonpositive COV
     denominator under a far alternative) counts as a rejection: such samples
     are maximally inconsistent with the null, and discarding them would bias
-    the power estimate downward.
+    the power estimate downward. `failed_replicates` counts them.
     """
     n, plan = nulls[0].n, nulls[0].plan
     if any((nd.n, nd.plan) != (n, plan) for nd in nulls):
@@ -277,9 +245,10 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
         with np.errstate(invalid="ignore"):
             reject = ~((v >= lower) & (v <= upper))  # NaN compares False -> reject
         power = float(np.mean(reject))
-        se = float(np.sqrt(power * (1.0 - power) / b))
-        cells.append(PowerCell(nd.spec.kind, alt, n, level, power, b, se,
-                               int(np.sum(~np.isfinite(v)))))
+        cells.append({"stat": nd.spec.kind, "alt": alt.label(), "n": n, "level": level,
+                      "power": power, "std_error": float(np.sqrt(power * (1.0 - power) / b)),
+                      "replicates": b, "failed_replicates": int(np.sum(~np.isfinite(v))),
+                      "seed": plan.master_seed})
     return tuple(cells)
 
 
@@ -297,7 +266,7 @@ def null_grid(specs: tuple[StatisticSpec, ...], n_grid, plan: ReplicationPlan, r
 
 
 def power_grid(specs: tuple[StatisticSpec, ...], alts, n_grid, plan: ReplicationPlan,
-               level: float) -> list[PowerCell]:
+               level: float) -> list[dict]:
     """The power of each statistic against each alternative at each n, in
     (statistic, alternative, n) order.
 
@@ -329,8 +298,9 @@ def _check_diagnostic(replicates: int, bins: int) -> None:
         raise ValueError("bins must be >= 1")
 
 
-def normality_diagnostic(nd: NullDistribution, bins: int = 50) -> DiagnosticReport:
-    """Histogram of a simulated null law, moment-fitted normal, and KS distance.
+def normality_diagnostic(nd: NullDistribution, bins: int = 50) -> dict:
+    """Histogram of a simulated null law, moment-fitted normal, and KS distance:
+    the `levygof diagnose` record, whose `bin_edges` and `counts` are arrays.
 
     The KS distance compares the standardized null draws with the standard
     normal law; small values support the asymptotic-normality claims.
@@ -343,4 +313,6 @@ def normality_diagnostic(nd: NullDistribution, bins: int = 50) -> DiagnosticRepo
     b = z.size
     i = np.arange(1, b + 1)
     ks = float(np.max(np.maximum(i / b - cdf, cdf - (i - 1) / b)))
-    return DiagnosticReport(nd.spec.kind, nd.n, edges, counts, mean, std, ks, nd.replicates)
+    return {"stat": nd.spec.kind, "n": nd.n, "fitted_mean": mean, "fitted_std": std,
+            "ks_distance": ks, "replicates": nd.replicates, "bin_edges": edges,
+            "counts": counts, "seed": nd.plan.master_seed}

@@ -171,9 +171,9 @@ def test_criterion6_power_spot_checks(kind, alt, n, level, expected):
     (cell,) = power_study(simulate_null((StatisticSpec(kind),), n, ReplicationPlan(SEED, b)),
                           alt, level)
     if expected >= 1.0:
-        assert cell.power >= 0.98
+        assert cell["power"] >= 0.98
     else:
-        assert cell.power == pytest.approx(expected, abs=0.04)
+        assert cell["power"] == pytest.approx(expected, abs=0.04)
 
 
 # ----------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_criterion7_normal_fit_at_n1000(kind):
 
     rep = normality_diagnostic(*simulate_null((StatisticSpec(kind),), 1000,
                                               ReplicationPlan(SEED, 10**4)))
-    assert rep.ks_distance < 0.05
+    assert rep["ks_distance"] < 0.05
 
 
 @pytest.mark.slow

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,21 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--method", "mle", "--input", str(f))
         assert code == EXIT_DATA
         assert ":3:" in err
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, monkeypatch, stdin):
+        text = b"1.5\n2.5\n4.0\n"
+        found = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            f = tmp_path / "d.txt"
+            f.write_bytes(data)
+            if stdin:
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            code, out, _ = run(capsys, "estimate", "--method", "mle",
+                               "--input", "-" if stdin else str(f))
+            assert code == EXIT_OK
+            found.append(out)
+        assert found[0] == found[1]
 
     def test_csv_column(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -566,6 +582,75 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "window (0.3, 0.4)" in lines[0]
+
+
+class TestOutput:
+    def test_failed_command_keeps_the_old_file(self, tmp_path, capsys):
+        f = tmp_path / "f"
+        f.write_text("keep me\n")
+        code, _, _ = run(capsys, "--out", str(f), "calibrate", "--stat", "on",
+                         "--n-grid", "5", "--replicates", "10")
+        assert code == EXIT_ESTIMATION
+        assert f.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["f"]
+
+    def test_input_may_be_the_out_file(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_text("4.0\n4.0\n4.0\n")
+        code, _, _ = run(capsys, "--out", str(f), "estimate", "--method", "mle",
+                         "--input", str(f))
+        assert code == EXIT_OK
+        assert records(f.read_text()) == [{"method": "MLE", "estimate": 4.0, "n": 3}]
+
+    def test_error_records_of_test_are_output(self, tmp_path, capsys):
+        # Exit 4 from `test` still prints its error records, so they replace the file.
+        f = tmp_path / "f"
+        f.write_text("old\n")
+        code, _, _ = run(capsys, "--out", str(f), "test", "--stat", "on", "--split", "0,0.01",
+                         "--split", "0.8,0.95", "--fixture", "vessels", "--replicates", "100")
+        assert code == EXIT_ESTIMATION
+        (rec,) = records(f.read_text())
+        assert list(rec) == ["stat", "error"]
+
+    def test_modes_and_symlinks(self, tmp_path, capsys):
+        argv = ("estimate", "--method", "mle", "--fixture", "rainfall")
+        old_mask = os.umask(0o027)
+        try:
+            new = tmp_path / "new"
+            assert run(capsys, "--out", str(new), *argv)[0] == EXIT_OK
+            assert new.stat().st_mode & 0o777 == 0o640
+        finally:
+            os.umask(old_mask)
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old\n")
+        target.chmod(0o604)
+        link.symlink_to(target)
+        assert run(capsys, "--out", str(link), *argv)[0] == EXIT_OK
+        assert link.is_symlink() and target.stat().st_mode & 0o777 == 0o604
+        assert records(target.read_text())[0]["method"] == "MLE"
+
+    def test_fifo_is_written_directly(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "--out", str(fifo), "estimate", "--method", "mle",
+                         "--fixture", "rainfall")
+        reader.join(timeout=30)
+        assert code == EXIT_OK and not reader.is_alive()
+        assert records(got[0])[0]["method"] == "MLE"
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    def test_closed_pipe_exits_141_silently(self):
+        cmd = [sys.executable, "-m", "levygof.cli", "sample", "--dist", "levy", "--n", "200000"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
 
 
 def _no_draw(*args):

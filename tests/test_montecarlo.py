@@ -170,31 +170,60 @@ class TestRunTest:
     def test_report_fields_consistent(self):
         data = 1.0 / np.linspace(0.21, 3.0, 25) ** 2
         (rep,) = run_test((StatisticSpec("vn"),), data, 0.05, plan(2000))
-        assert 0.0 < rep.p <= 1.0
-        assert rep.reject == (not rep.lower <= rep.value <= rep.upper)
+        assert 0.0 < rep["p_value"] <= 1.0
+        assert rep["reject"] == (not rep["lower"] <= rep["value"] <= rep["upper"])
+
+
+    def test_record_keys_and_error_record(self):
+        # One record per statistic, in the key order `levygof test` prints;
+        # `on` is undefined at n = 5 and gets an error record in its place.
+        data = np.array([1.0, 2.0, 3.0, 5.0, 9.0])
+        rep, err = run_test((StatisticSpec("vn"), StatisticSpec("on")), data, 0.05,
+                            plan(50, seed=3))
+        assert list(rep) == ["stat", "value", "p_value", "p_bound", "level", "reject",
+                             "lower", "upper", "replicates", "seed"]
+        assert (rep["stat"], rep["replicates"], rep["seed"]) == ("vn", 50, 3)
+        assert list(err) == ["stat", "error"]
+        assert err["stat"] == "on" and "needs n >= 7" in err["error"]
+
+    def test_p_bound_at_the_smallest_p_value(self):
+        # Evenly spread data are far out in vn's null tail: p = 2/(B+1), a bound.
+        data = np.linspace(1.0, 2.0, 20)
+        (rep,) = run_test((StatisticSpec("vn"),), data, 0.05, plan(99))
+        assert rep["p_value"] == 2.0 / 100
+        assert rep["p_bound"] == "<0.02"
 
 
 class TestPower:
+    def test_record_keys(self):
+        alt = AlternativeSpec("halfnormal", (1.0,))
+        (cell,) = power_study(simulate_null((StatisticSpec("vn"),), 20, plan(50, seed=3)),
+                              alt, 0.05)
+        assert list(cell) == ["stat", "alt", "n", "level", "power", "std_error", "replicates",
+                              "failed_replicates", "seed"]
+        assert (cell["stat"], cell["alt"], cell["n"], cell["replicates"], cell["seed"]) == (
+            "vn", alt.label(), 20, 50, 3)
+
     def test_far_alternative_high_power(self):
         (cell,) = power_study(simulate_null((StatisticSpec("on"),), 50, plan(2000)),
                               AlternativeSpec("halfnormal", (1.0,)), 0.05)
-        assert cell.power > 0.95
+        assert cell["power"] > 0.95
 
     def test_null_alternative_is_level(self):
         # Feeding a Levy-like inverse-gamma-(1/2)-free proxy is not available;
         # instead check the power against a close alternative stays in [0, 1].
         (cell,) = power_study(simulate_null((StatisticSpec("vn"),), 30, plan(2000)),
                               AlternativeSpec("lognormal", (0.0, 1.0)), 0.05)
-        assert 0.0 <= cell.power <= 1.0
-        assert cell.std_error < 0.02
+        assert 0.0 <= cell["power"] <= 1.0
+        assert cell["std_error"] < 0.02
 
     def test_power_monotone_in_n(self):
         spec = StatisticSpec("vn")
         alt = AlternativeSpec("lognormal", (0.0, 1.0))
         (p20,) = power_study(simulate_null((spec,), 20, plan(3000)), alt, 0.05)
         (p250,) = power_study(simulate_null((spec,), 250, plan(3000)), alt, 0.05)
-        combined_se = 2 * (p20.std_error + p250.std_error)
-        assert p250.power >= p20.power - combined_se
+        combined_se = 2 * (p20["std_error"] + p250["std_error"])
+        assert p250["power"] >= p20["power"] - combined_se
 
     def test_alternative_draws_the_streams_after_the_null(self):
         # Replicate i of the alternative is drawn from stream (seed, B + i).
@@ -207,9 +236,9 @@ class TestPower:
         lower, upper = calibrate(null, level)
         with np.errstate(invalid="ignore"):
             reject = ~((vals >= lower) & (vals <= upper))
-        assert cell.power == float(np.mean(reject))
-        assert cell.failed_replicates == int(np.sum(~np.isfinite(vals)))
-        assert (cell.kind, cell.n, cell.replicates) == ("tn", n, b)
+        assert cell["power"] == float(np.mean(reject))
+        assert cell["failed_replicates"] == int(np.sum(~np.isfinite(vals)))
+        assert (cell["stat"], cell["n"], cell["replicates"]) == ("tn", n, b)
 
 
 class TestPowerGrid:
@@ -217,13 +246,15 @@ class TestPowerGrid:
         specs = (StatisticSpec("vn"), StatisticSpec("tn"))
         alts = PAPER_ALTERNATIVES[3:5]
         cells = power_grid(specs, alts, [20, 30], plan(300, seed=9), 0.05)
-        assert [(c.kind, c.alternative, c.n) for c in cells] == [
-            (spec.kind, alt, n) for spec in specs for alt in alts for n in (20, 30)]
+        assert [(c["stat"], c["alt"], c["n"]) for c in cells] == [
+            (spec.kind, alt.label(), n) for spec in specs for alt in alts for n in (20, 30)]
         # Each cell is the one power_study gives on the same null.
         nulls = {n: simulate_null(specs, n, plan(300, seed=9)) for n in (20, 30)}
         kinds = [spec.kind for spec in specs]
-        assert cells == [power_study(nulls[c.n], c.alternative, 0.05)[kinds.index(c.kind)]
-                         for c in cells]
+        by_label = {alt.label(): alt for alt in alts}
+        assert cells == [
+            power_study(nulls[c["n"]], by_label[c["alt"]], 0.05)[kinds.index(c["stat"])]
+            for c in cells]
 
     @pytest.mark.parametrize("level, n_grid, error, match", [
         (0.0, [20], ValueError, "level must be in"),
@@ -262,16 +293,23 @@ class TestNullGrid:
 
 
 class TestDiagnostics:
+    def test_record_keys(self):
+        (nd,) = simulate_null((StatisticSpec("vn"),), 20, plan(1000, seed=3))
+        rep = normality_diagnostic(nd, bins=5)
+        assert list(rep) == ["stat", "n", "fitted_mean", "fitted_std", "ks_distance",
+                             "replicates", "bin_edges", "counts", "seed"]
+        assert (rep["stat"], rep["n"], rep["replicates"], rep["seed"]) == ("vn", 20, 1000, 3)
+
     def test_counts_sum_to_replicates(self):
         rep = normality_diagnostic(*simulate_null((StatisticSpec("vn"),), 100, plan(2000)),
                                    bins=40)
-        assert rep.counts.sum() == 2000
-        assert rep.bin_edges.size == 41
+        assert rep["counts"].sum() == 2000
+        assert rep["bin_edges"].size == 41
 
     def test_ks_improves_with_n(self):
         small = normality_diagnostic(*simulate_null((StatisticSpec("vn"),), 20, plan(3000)))
         large = normality_diagnostic(*simulate_null((StatisticSpec("vn"),), 1000, plan(3000)))
-        assert large.ks_distance < small.ks_distance
+        assert large["ks_distance"] < small["ks_distance"]
 
     def test_takes_a_null_and_draws_nothing(self, monkeypatch):
         (nd,) = simulate_null((StatisticSpec("vn"),), 40, plan(1000))
@@ -280,7 +318,8 @@ class TestDiagnostics:
             raise AssertionError("the diagnostic drew its own null")
         monkeypatch.setattr(mc, "_simulate", no_draw)
         rep = normality_diagnostic(nd, bins=10)
-        assert (rep.kind, rep.n, rep.replicates, int(rep.counts.sum())) == ("vn", 40, 1000, 1000)
+        assert (rep["stat"], rep["n"], rep["replicates"], int(rep["counts"].sum())) == (
+            "vn", 40, 1000, 1000)
 
     def test_minimum_replicates(self):
         (nd,) = simulate_null((StatisticSpec("vn"),), 100, plan(500))
@@ -300,4 +339,4 @@ class TestDiagnostics:
         cdf = ndtr(z)
         i = np.arange(1, z.size + 1)
         ks = np.max(np.maximum(i / z.size - cdf, cdf - (i - 1) / z.size))
-        assert abs(rep.ks_distance - ks) <= 1e-15
+        assert abs(rep["ks_distance"] - ks) <= 1e-15
