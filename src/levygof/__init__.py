@@ -13,7 +13,6 @@ _SUBMODULE = {name: module for module, names in [
     ("distributions", "AlternativeSpec LevyParams levy_cdf levy_pdf levy_quantile "
                       "PAPER_ALTERNATIVES sample_alternative sample_levy"),
     ("condmoments", "EstimationError"),
-    ("statistics", "ScaleEstimate estimate"),
     ("montecarlo", "NullDistribution ReplicationPlan calibrate normality_diagnostic "
                    "p_value null_grid power_grid power_study run_test simulate_null"),
     ("statistics", "StatisticSpec evaluate"),

@@ -40,7 +40,7 @@ from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams,  # 
                             family_name, levy_cdf, sample_alternative, sample_levy)
 from .montecarlo import (ReplicationPlan, _check_diagnostic, _check_level,  # noqa: E402
                          calibrate, normality_diagnostic, null_grid, power_grid, run_test)
-from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, estimate  # noqa: E402
+from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, evaluate  # noqa: E402
 from .streams import RandomStream  # noqa: E402
 
 __all__ = ["main"]
@@ -91,11 +91,12 @@ class _Once(argparse.Action):
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one `error:` line (a UsageError), not a usage block.
 
-    Its flags, and those of its subcommands, store by `_Once`.
+    Its flags, and those of its subcommands, store by `_Once`, and each is read
+    only as spelled in full: no prefix of a flag stands for it.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self.register("action", None, _Once)
         self.register("action", "store", _Once)
 
@@ -255,12 +256,11 @@ def cmd_sample(args, emit: Emitter) -> int:
 
 
 def cmd_estimate(args, emit: Emitter) -> int:
-    _stat_spec("--method", args.method, (args.split,) if args.split else ())
+    spec = _stat_spec("--method", args.method, (args.split,) if args.split else ())
     data = _load_data(args)
-    est = estimate(args.method, data, args.split)
-    rec = {"method": est.method, "estimate": est.value, "n": int(data.size)}
-    if est.split is not None:
-        rec["split"] = [est.split.a, est.split.b]
+    rec = {"method": spec.kind.upper(), "estimate": evaluate(spec, data), "n": int(data.size)}
+    if spec.splits:
+        rec["split"] = [spec.splits[0].a, spec.splits[0].b]
     emit.record(rec)
     return EXIT_OK
 
@@ -308,7 +308,7 @@ def cmd_diagnose(args, emit: Emitter) -> int:
 
 def cmd_ppplot(args, emit: Emitter) -> int:
     data = _load_data(args)
-    c_hat = estimate("mle", data).value
+    c_hat = evaluate(StatisticSpec("mle"), data)
     emit.comment(f"fitted with MLE scale estimate c = {c_hat:.6g}")
     xs = np.sort(data)
     n = xs.size

@@ -101,11 +101,14 @@ def _chunk_task(args):
 
 
 def check_grid(specs, n_grid) -> None:
-    """Raise EstimationError unless every statistic is defined at every n.
+    """Raise EstimationError unless every statistic is defined at every n, and
+    ValueError when there is no statistic.
 
     Callers run it before the first draw, so that a grid's output is all
     or nothing.
     """
+    if not specs:
+        raise ValueError("no statistic to simulate")
     for spec in specs:
         for n in n_grid:
             spec.check_n(n)
@@ -234,9 +237,9 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
     are maximally inconsistent with the null, and discarding them would bias
     the power estimate downward. `failed_replicates` counts them.
     """
-    n, plan = nulls[0].n, nulls[0].plan
-    if any((nd.n, nd.plan) != (n, plan) for nd in nulls):
+    if not nulls or any((nd.n, nd.plan) != (nulls[0].n, nulls[0].plan) for nd in nulls):
         raise ValueError("power_study needs nulls of one sample size and plan")
+    n, plan = nulls[0].n, nulls[0].plan
     bounds = [calibrate(nd, level) for nd in nulls]
     b = plan.replicates
     vals = _simulate(tuple(nd.spec for nd in nulls), n, plan, b, sample_alternative, alt)

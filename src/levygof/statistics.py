@@ -23,12 +23,12 @@ Six scale-ratio / characterization test statistics (``STATISTIC_KINDS``):
 * ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
             row from prefix sums of the sorted row.
 
-``evaluate(spec, sample)`` and ``estimate(method, sample, split)`` are the
-scalar paths: the one-row case of ``evaluate_batch``, raising on precondition
-violations. ``evaluate_batch`` marks failed replicates as NaN so Monte Carlo
-callers can apply their own failure policy. Statistics evaluated on the same
-rows may share one ``Batch``, which computes the sorted rows, ``mle``, ``cov``
-and the nonpositive-row mask once for all of them.
+``evaluate(spec, sample)`` is the scalar path of every row: the one-row case
+of ``evaluate_batch``, raising on precondition violations, with the row's
+``METHODS`` text for an estimator. ``evaluate_batch`` marks failed replicates
+as NaN so Monte Carlo callers can apply their own failure policy. Statistics
+evaluated on the same rows may share one ``Batch``, which computes the sorted
+rows, ``mle``, ``cov`` and the nonpositive-row mask once for all of them.
 """
 from __future__ import annotations
 
@@ -44,9 +44,7 @@ from .condmoments import (EstimationError, QuantileSplit, _short_window, _values
 
 __all__ = [
     "EstimationError",
-    "ScaleEstimate",
     "METHODS",
-    "estimate",
     "qcm",
     "qcv",
     "mle",
@@ -388,37 +386,22 @@ def evaluate_batch(spec: StatisticSpec, x: np.ndarray,
 
 
 def evaluate(spec: StatisticSpec, sample) -> float:
-    """Scalar statistic; raises EstimationError on precondition failure."""
-    val = evaluate_batch(spec, _values(sample)[None, :])[0]
-    if not np.isfinite(val):
+    """Value of the estimator or statistic on one sample; raises EstimationError
+    on precondition failure.
+
+    An estimator (a row of METHODS) must come out > 0, else the error gives the
+    row's failure text; `mle` and `cov` first refuse observations below 1e-300.
+    A statistic must come out finite.
+    """
+    x = _values(sample)
+    reason = METHODS.get(spec.kind)
+    if reason and _KERNELS[spec.kind].positive and np.any(x < _TINY):
+        raise EstimationError("all observations must be positive (and above 1e-300)")
+    val = float(evaluate_batch(spec, x[None, :])[0])
+    if reason and not val > 0.0:
+        raise EstimationError(reason)
+    if not math.isfinite(val):
         raise EstimationError(
             f"statistic {spec.kind} undefined on this sample "
             "(nonpositive data, degenerate window, or bad covariance)")
-    return float(val)
-
-
-@dataclass(frozen=True)
-class ScaleEstimate:
-    method: str
-    value: float
-    split: QuantileSplit | None = None
-
-
-def estimate(method: str, sample, split: QuantileSplit | None = None) -> ScaleEstimate:
-    """Scale estimate of one sample by `method` (any case), on `split` or its default window.
-
-    Raises ValueError for an unknown method or a window given to `mle`/`cov`,
-    and EstimationError when the data violate the method's preconditions.
-    """
-    name = method.lower()
-    if name not in METHODS:
-        raise ValueError(f"unknown estimation method {method!r}; "
-                         f"expected one of {', '.join(METHODS)}")
-    spec = StatisticSpec(name, () if split is None else (split,))
-    x = _values(sample)
-    if _KERNELS[name].positive and np.any(x < _TINY):
-        raise EstimationError("all observations must be positive (and above 1e-300)")
-    value = float(evaluate_batch(spec, x[None, :])[0])
-    if not value > 0.0:
-        raise EstimationError(METHODS[name])
-    return ScaleEstimate(name.upper(), value, spec.splits[0] if spec.splits else None)
+    return val

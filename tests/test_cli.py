@@ -17,9 +17,10 @@ import levygof
 import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, _alt,
                          build_parser, main, read_observations)
+from levygof.condmoments import QuantileSplit
 from levygof.datasets import fixture_analysis
 from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec
-from levygof.statistics import StatisticSpec
+from levygof.statistics import QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT, StatisticSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 POWER_TABLE = Path(__file__).resolve().parents[1] / "scripts" / "power_table.py"
@@ -118,6 +119,19 @@ class TestEstimate:
                            "0.02,0.48", "--input", str(f))
         assert code == EXIT_OK
         assert records(out)[0]["estimate"] == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("method, flags, window", [
+        ("mle", (), None), ("cov", (), None), ("qcm", (), QCM_SPLIT_DEFAULT),
+        ("qcv", (), QCV_SPLIT_DEFAULT), ("qcv", ("--split", "0.1,0.6"), QuantileSplit(0.1, 0.6)),
+    ], ids=["mle", "cov", "qcm-default", "qcv-default", "qcv-split"])
+    def test_record_keys_and_window(self, capsys, method, flags, window):
+        code, out, _ = run(capsys, "estimate", "--method", method, *flags, "--fixture", "vessels")
+        assert code == EXIT_OK
+        (rec,) = records(out)
+        assert list(rec) == ["method", "estimate", "n"] + (["split"] if window else [])
+        assert (rec["method"], rec["n"]) == (method.upper(), fixture_analysis("vessels").size)
+        if window:
+            assert rec["split"] == [window.a, window.b]
 
     def test_estimation_error_exit(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
@@ -484,6 +498,18 @@ class TestOtherCommands:
           "--seed", "2"), "argument --seed: given more than once"),
         (("power", "--stat", "vn", "--stat", "on", "--split", "0,0.3", "--n-grid", "20",
           "--replicates", "100"), "--split applies to exactly one --stat"),
+        # A prefix of a flag used to stand for the flag.
+        (("calibrate", "--stat", "vn", "--n", "30", "--replicates", "100"), "--n-grid"),
+        (("calibrate", "--stat", "vn", "--n-grid", "30", "--rep", "100"), "--rep"),
+        (("calibrate", "--stat", "vn", "--n-grid", "30", "--replicates", "100", "--see", "3"),
+         "--see"),
+        (("calibrate", "--stat", "vn", "--n-grid", "30", "--replicates", "100", "--lev", "0.1"),
+         "--lev"),
+        (("--tab", "estimate", "--method", "mle", "--fixture", "rainfall"), "--tab"),
+        (("estimate", "--method", "qcm", "--split", "nan,0.5", "--fixture", "rainfall"),
+         "split bounds must be finite"),
+        (("power", "--stat", "vn", "--alt", "gamma:2,nan", "--n-grid", "20",
+          "--replicates", "100"), "gamma parameter 1 must be finite"),
     ], ids=["workers-0", "replicates-0", "unknown-alt", "power-alt-levy", "bad-params",
             "on-one-window", "vn-with-window", "no-stat", "n-grid-not-int", "calibrate-n-negative",
             "calibrate-n-0", "calibrate-n-grid-negative", "power-n-0", "diagnose-n-grid-0",
@@ -497,7 +523,9 @@ class TestOtherCommands:
             "n-not-int", "unknown-command", "unknown-fixture", "unrecognised-flag",
             "calibrate-on-split-to-1", "test-tn-split-to-1", "test-tn-split2",
             "test-tn-two-windows", "estimate-split-twice", "diagnose-bins-twice",
-            "calibrate-n-grid-twice", "test-seed-twice", "power-two-stats-with-split"])
+            "calibrate-n-grid-twice", "test-seed-twice", "power-two-stats-with-split",
+            "prefix-n", "prefix-rep", "prefix-see", "prefix-lev", "prefix-table",
+            "split-nan", "alt-param-nan"])
     def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, argv, needle):
         def no_draw(*args):
             raise AssertionError("a bad setting was found only after drawing replicates")
@@ -739,8 +767,8 @@ def test_option_sets():
 
 
 def test_readme_commands_use_exact_option_strings():
-    # argparse also takes an unambiguous prefix of an option, so a stale
-    # `--n` in the README would still run, as `--n-grid`.
+    # The parser refuses a prefix of an option, so a stale `--n` in the README
+    # would fail when run; this finds it without running the command.
     found = option_sets()
     commands = [m.group(1).split()[1:] for line in README.read_text().splitlines()
                 if (m := re.match(r"`?(levygof [^`]*)", line))]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from levygof.condmoments import (QuantileSplit, theoretical_qcm, theoretical_qcv
 from levygof.distributions import LevyParams, sample_levy
 from levygof.montecarlo import ReplicationPlan, simulate_null
 from levygof.statistics import (METHODS, QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
-                                EstimationError, StatisticSpec, cov, estimate, mle, qcm, qcv)
+                                EstimationError, StatisticSpec, cov, evaluate, mle, qcm, qcv)
 from levygof.streams import RandomStream
 
 
@@ -18,18 +20,18 @@ def big_levy2():
 
 class TestConsistency:
     def test_qcm(self, big_levy2):
-        est = estimate("qcm", big_levy2, QuantileSplit(0.02, 0.48))
-        assert est.value == pytest.approx(2.0, abs=0.02)
+        est = evaluate(StatisticSpec("qcm", (QuantileSplit(0.02, 0.48),)), big_levy2)
+        assert est == pytest.approx(2.0, abs=0.02)
 
     def test_qcv(self, big_levy2):
-        est = estimate("qcv", big_levy2, QuantileSplit(0.0, 0.7))
-        assert est.value == pytest.approx(2.0, abs=0.05)
+        est = evaluate(StatisticSpec("qcv", (QuantileSplit(0.0, 0.7),)), big_levy2)
+        assert est == pytest.approx(2.0, abs=0.05)
 
     def test_mle(self, big_levy2):
-        assert estimate("mle", big_levy2).value == pytest.approx(2.0, abs=0.01)
+        assert evaluate(StatisticSpec("mle"), big_levy2) == pytest.approx(2.0, abs=0.01)
 
     def test_cov(self, big_levy2):
-        assert estimate("cov", big_levy2).value == pytest.approx(2.0, abs=0.05)
+        assert evaluate(StatisticSpec("cov"), big_levy2) == pytest.approx(2.0, abs=0.05)
 
 
 SAMPLE = np.array([0.7, 2.3, 0.4, 9.1, 1.6, 5.5, 0.9, 3.2, 12.4, 0.2,
@@ -41,63 +43,64 @@ class TestEquivariance:
     @given(lam=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_equivariance_all(self, lam):
         for method in METHODS:
-            base = estimate(method, SAMPLE).value
-            assert estimate(method, lam * SAMPLE).value == pytest.approx(lam * base, rel=1e-10)
+            spec = StatisticSpec(method)
+            assert evaluate(spec, lam * SAMPLE) == pytest.approx(lam * evaluate(spec, SAMPLE),
+                                                                 rel=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(mu=st.floats(min_value=-100.0, max_value=100.0))
     def test_qcv_location_invariance(self, mu):
-        base = estimate("qcv", SAMPLE).value
-        assert estimate("qcv", SAMPLE + mu).value == pytest.approx(base, rel=1e-10)
+        base = evaluate(StatisticSpec("qcv"), SAMPLE)
+        assert evaluate(StatisticSpec("qcv"), SAMPLE + mu) == pytest.approx(base, rel=1e-10)
 
 
 class TestEdgeCases:
     def test_mle_of_constant_sample(self):
-        assert estimate("mle", [4.0] * 8).value == pytest.approx(4.0)
+        assert evaluate(StatisticSpec("mle"), [4.0] * 8) == pytest.approx(4.0)
 
     def test_positive_data_required(self):
         for method in ("mle", "cov"):
             with pytest.raises(EstimationError):
-                estimate(method, [1.0, -2.0, 3.0])
+                evaluate(StatisticSpec(method), [1.0, -2.0, 3.0])
 
     def test_tiny_values_rejected(self):
         for method in ("mle", "cov"):
             with pytest.raises(EstimationError):
-                estimate(method, [1.0, 1e-310])
+                evaluate(StatisticSpec(method), [1.0, 1e-310])
 
     def test_qcv_degenerate(self):
-        with pytest.raises(EstimationError):
-            estimate("qcv", [5.0] * 20, QuantileSplit(0.0, 0.5))
+        with pytest.raises(EstimationError, match=f"^{re.escape(METHODS['qcv'])}$"):
+            evaluate(StatisticSpec("qcv", (QuantileSplit(0.0, 0.5),)), [5.0] * 20)
 
     def test_cov_needs_two(self):
         with pytest.raises(EstimationError):
-            estimate("cov", [1.0])
+            evaluate(StatisticSpec("cov"), [1.0])
 
     def test_mle_of_one_observation(self):
-        assert estimate("mle", [3.5]).value == 3.5
+        assert evaluate(StatisticSpec("mle"), [3.5]) == 3.5
 
     def test_short_window_is_an_estimation_error(self):
         with pytest.raises(EstimationError, match="statistic qcv needs n >= 3, got 2"):
-            estimate("qcv", [1.0, 2.0])
+            evaluate(StatisticSpec("qcv"), [1.0, 2.0])
 
     def test_estimates_positive(self):
         for method in METHODS:
-            assert estimate(method, SAMPLE).value > 0.0
+            assert evaluate(StatisticSpec(method), SAMPLE) > 0.0
 
     def test_bad_method_or_window_is_not_an_estimation_error(self):
-        for method, split in (("median", None), ("mle", QuantileSplit(0.1, 0.6)),
-                              ("cov", QCM_SPLIT_DEFAULT)):
+        for method, splits in (("median", ()), ("mle", (QuantileSplit(0.1, 0.6),)),
+                               ("cov", (QCM_SPLIT_DEFAULT,))):
             with pytest.raises(ValueError) as info:
-                estimate(method, SAMPLE, split)
+                evaluate(StatisticSpec(method, splits), SAMPLE)
             assert not isinstance(info.value, EstimationError)
 
-    def test_method_in_any_case(self):
-        assert estimate("QCM", SAMPLE) == estimate("qcm", SAMPLE)
+    def test_unknown_method_names_the_kind(self):
+        with pytest.raises(ValueError, match="unknown statistic kind: 'median'"):
+            StatisticSpec("median")
 
-    def test_split_recorded(self):
-        s = QuantileSplit(0.1, 0.6)
-        assert estimate("qcm", SAMPLE, s).split == s
-        assert estimate("mle", SAMPLE).split is None
+    def test_method_in_any_case(self):
+        assert StatisticSpec("QCM") == StatisticSpec("qcm")
+        assert evaluate(StatisticSpec("QCM"), SAMPLE) == evaluate(StatisticSpec("qcm"), SAMPLE)
 
 
 class TestRowKernels:
@@ -121,12 +124,12 @@ class TestRowKernels:
     def test_estimates_equal_one_row_kernels(self):
         for row in self.ROWS:
             xs = np.sort(row)[None, :]
-            assert estimate("mle", row).value == mle(row[None, :])[0]
-            assert estimate("cov", row).value == cov(row[None, :])[0]
-            assert estimate("qcm", row).value == (window_mean(xs, QCM_SPLIT_DEFAULT)[0]
-                                                  / theoretical_qcm(QCM_SPLIT_DEFAULT, 1.0))
-            assert estimate("qcv", row).value == np.sqrt(window_var(xs, QCV_SPLIT_DEFAULT)[0]
-                                                         / theoretical_qcv(QCV_SPLIT_DEFAULT, 1.0))
+            assert evaluate(StatisticSpec("mle"), row) == mle(row[None, :])[0]
+            assert evaluate(StatisticSpec("cov"), row) == cov(row[None, :])[0]
+            assert evaluate(StatisticSpec("qcm"), row) == (
+                window_mean(xs, QCM_SPLIT_DEFAULT)[0] / theoretical_qcm(QCM_SPLIT_DEFAULT, 1.0))
+            assert evaluate(StatisticSpec("qcv"), row) == np.sqrt(
+                window_var(xs, QCV_SPLIT_DEFAULT)[0] / theoretical_qcv(QCV_SPLIT_DEFAULT, 1.0))
 
     def test_cov_nan_where_covariance_not_positive(self):
         rows = np.vstack([self.ROWS[0], np.full(37, 2.0)])
@@ -144,6 +147,6 @@ class TestEngine:
         nulls = simulate_null(specs, n, ReplicationPlan(seed, b), c=2.0)
         rows = [sample_levy(LevyParams(c=2.0), n, RandomStream(seed, i)) for i in range(b)]
         for spec, nd in zip(specs, nulls):
-            expected = np.sort([estimate(spec.kind, row).value for row in rows])
+            expected = np.sort([evaluate(spec, row) for row in rows])
             assert nd.spec == spec
             assert np.array_equal(nd.values, expected)

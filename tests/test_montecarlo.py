@@ -292,6 +292,39 @@ class TestNullGrid:
                       lambda nulls: [[nd.n] for nd in nulls])
 
 
+def _no_draw(monkeypatch, *names):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an empty statistic tuple was found only after drawing replicates")
+    for name in names:
+        monkeypatch.setattr(mc, name, no_draw)
+
+
+class TestNoStatistic:
+    """An empty statistic tuple is refused before the first draw."""
+
+    def test_simulate_null(self, monkeypatch):
+        # The check runs in _simulate, before any chunk is drawn or a pool starts.
+        _no_draw(monkeypatch, "_chunk_task", "ProcessPoolExecutor")
+        with pytest.raises(ValueError, match="no statistic to simulate"):
+            simulate_null((), 20, plan(1000, workers=2))
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: null_grid((), [20], plan(100), lambda nulls: []), "no statistic to simulate"),
+        (lambda: power_grid((), PAPER_ALTERNATIVES, [20], plan(100), 0.05),
+         "no statistic to simulate"),
+        (lambda: power_study((), AlternativeSpec("lognormal", (0.0, 1.0)), 0.05),
+         "power_study needs nulls of one sample size and plan"),
+    ], ids=["null_grid", "power_grid", "power_study"])
+    def test_grids_and_power(self, monkeypatch, call, match):
+        _no_draw(monkeypatch, "_simulate")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_run_test_draws_nothing(self, monkeypatch):
+        _no_draw(monkeypatch, "_simulate")
+        assert run_test((), [1.0, 2.0, 3.0], 0.05, plan(100)) == ()
+
+
 class TestDiagnostics:
     def test_record_keys(self):
         (nd,) = simulate_null((StatisticSpec("vn"),), 20, plan(1000, seed=3))
@@ -325,6 +358,10 @@ class TestDiagnostics:
         (nd,) = simulate_null((StatisticSpec("vn"),), 100, plan(500))
         with pytest.raises(ValueError):
             normality_diagnostic(nd)
+
+    def test_at_least_one_bin(self, nd):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            normality_diagnostic(nd, bins=0)
 
     def test_normal_cdf_matches_ndtr(self):
         # scipy.special.ndtr is the reference the scipy-free CDF replaced.

@@ -188,6 +188,10 @@ class TestScalarVsBatch:
         with pytest.raises(ValueError, match="other rows"):
             evaluate_batch(StatisticSpec("vn"), rows, Batch(rows.copy()))
 
+    def test_batch_needs_a_matrix(self):
+        with pytest.raises(ValueError, match=r"expected a \(B, n\) matrix"):
+            Batch(np.ones(3))
+
     def test_batch_marks_bad_rows_nan(self):
         rows = np.vstack([SAMPLE[:40], SAMPLE[:40]])
         rows[1, 3] = -1.0
