@@ -59,9 +59,7 @@ class ReplicationPlan:
     """Master seed, replicate count B and advisory worker count.
 
     The worker count is an upper bound: a simulation runs at most one worker
-    per chunk of replicates and per CPU core. A chunk is 512 replicates, or
-    2**20 // n when n > 2048, but never less than one row: above n = 2**20
-    it is one row of 8n bytes.
+    per chunk of replicates (sized by n alone; see CHUNK) and per CPU core.
 
     Replicate i draws from stream (master_seed, i). A null simulation uses
     streams 0 ... B-1; a power study on that null draws its alternative
@@ -168,12 +166,14 @@ def _check_level(level: float) -> None:
         raise ValueError("level must be in (0, 1)")
 
 
-def calibrate(nd: NullDistribution, level: float) -> tuple[float, float]:
-    """Equal-tail empirical (level/2, 1 - level/2) quantiles of the null draws."""
+def calibrate(nd: NullDistribution, level: float) -> dict:
+    """Equal-tail empirical (level/2, 1 - level/2) quantiles of the null draws,
+    `lower` and `upper`: the `levygof calibrate` record."""
     _check_level(level)
-    lower = float(np.quantile(nd.values, level / 2.0))
-    upper = float(np.quantile(nd.values, 1.0 - level / 2.0))
-    return lower, upper
+    return {"stat": nd.spec.kind, "n": nd.n, "level": level,
+            "lower": float(np.quantile(nd.values, level / 2.0)),
+            "upper": float(np.quantile(nd.values, 1.0 - level / 2.0)),
+            "replicates": nd.plan.replicates, "seed": nd.plan.master_seed}
 
 
 def p_value(nd: NullDistribution, observed: float) -> float:
@@ -213,12 +213,12 @@ def run_test(specs: tuple[StatisticSpec, ...], sample, level: float,
         for i, nd in zip(ok, nulls):
             value = results[i]
             p = p_value(nd, value)
-            lower, upper = calibrate(nd, level)
+            th = calibrate(nd, level)
             results[i] = {"stat": nd.spec.kind, "value": value, "p_value": p,
                           "p_bound": f"<{bound:.2g}" if p <= bound else None,
-                          "level": level, "reject": not lower <= value <= upper,
-                          "lower": lower, "upper": upper, "replicates": plan.replicates,
-                          "seed": plan.master_seed}
+                          "level": level, "reject": not th["lower"] <= value <= th["upper"],
+                          "lower": th["lower"], "upper": th["upper"],
+                          "replicates": plan.replicates, "seed": plan.master_seed}
     return tuple(results)
 
 
@@ -240,13 +240,13 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
     if not nulls or any((nd.n, nd.plan) != (nulls[0].n, nulls[0].plan) for nd in nulls):
         raise ValueError("power_study needs nulls of one sample size and plan")
     n, plan = nulls[0].n, nulls[0].plan
-    bounds = [calibrate(nd, level) for nd in nulls]
+    thresholds = [calibrate(nd, level) for nd in nulls]
     b = plan.replicates
     vals = _simulate(tuple(nd.spec for nd in nulls), n, plan, b, sample_alternative, alt)
     cells = []
-    for nd, (lower, upper), v in zip(nulls, bounds, vals):
+    for nd, th, v in zip(nulls, thresholds, vals):
         with np.errstate(invalid="ignore"):
-            reject = ~((v >= lower) & (v <= upper))  # NaN compares False -> reject
+            reject = ~((v >= th["lower"]) & (v <= th["upper"]))  # NaN compares False -> reject
         power = float(np.mean(reject))
         cells.append({"stat": nd.spec.kind, "alt": alt.label(), "n": n, "level": level,
                       "power": power, "std_error": float(np.sqrt(power * (1.0 - power) / b)),
@@ -311,7 +311,7 @@ def normality_diagnostic(nd: NullDistribution, bins: int = 50) -> dict:
     _check_diagnostic(nd.replicates, bins)
     mean, std = float(nd.values.mean()), float(nd.values.std())
     counts, edges = np.histogram(nd.values, bins=bins)
-    z = np.sort((nd.values - mean) / std)
+    z = (nd.values - mean) / std  # sorted, as nd.values is
     cdf = _normal_cdf(z)
     b = z.size
     i = np.arange(1, b + 1)

@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import levygof
+import levygof.cli as cli
 import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, _alt,
                          build_parser, main, read_observations)
@@ -203,6 +205,38 @@ class TestEstimate:
             found.append(out)
         assert found[0] == found[1]
 
+    def test_carriage_return_line_ends(self, tmp_path, capsys):
+        f = tmp_path / "d.txt"
+        f.write_bytes(b"1.5\r2.5\r4.0\r")
+        assert np.array_equal(read_observations(str(f)), [1.5, 2.5, 4.0])
+        f.write_bytes(b"1.5\rx\r")
+        code, _, err = run(capsys, "estimate", "--method", "mle", "--input", str(f))
+        assert code == EXIT_DATA and f"{f}:2: cannot parse 'x'" in err
+
+    def test_read_allocates_about_8_bytes_per_value(self, tmp_path):
+        # 10**5 values tell ~8 bytes per value from a whole-file read's ~84;
+        # tracemalloc slows the read several-fold, so more would cost seconds.
+        n = 100_000
+        f = tmp_path / "big.txt"
+        f.write_text("\n".join(map(str, range(n))))
+        tracemalloc.start()
+        try:
+            vals = read_observations(str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.size == n and vals[-1] == n - 1
+        assert peak <= 16 * n
+
+    def test_column_past_a_row_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2\n3\n")
+        code, out, err = run(capsys, "estimate", "--method", "mle", "--input", str(f),
+                             "--column", "1")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {f}:2: cannot parse '3'\n"
+
     def test_csv_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,1.5\nb,2.5\n")
@@ -301,7 +335,7 @@ class TestOtherCommands:
         assert code == EXIT_OK
         (rec,) = records(out)
         (nd,) = mc.simulate_null((StatisticSpec("vn"),), 20, mc.ReplicationPlan(2, 500))
-        assert (rec["level"], rec["lower"], rec["upper"]) == (0.1, *mc.calibrate(nd, 0.1))
+        assert list(rec.items()) == list(mc.calibrate(nd, 0.1).items())
 
     def test_power_record(self, capsys):
         code, out, _ = run(capsys, "power", "--stat", "vn", "--alt", "lognormal:0,1",
@@ -559,6 +593,16 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Unable to allocate" in lines[0]
+
+    def test_memory_error_without_text_says_out_of_memory(self, capsys, monkeypatch):
+        # A MemoryError usually carries no text; the error line must not be empty.
+        def out_of_memory(path, column=None):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "read_observations", out_of_memory)
+        code, out, err = run(capsys, "estimate", "--method", "mle", "--input", "big.txt")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     @pytest.mark.parametrize("argv", [("--help",), ("calibrate", "--help")])
     def test_help_exits_ok(self, capsys, argv):

@@ -138,10 +138,20 @@ def nd():
 
 class TestCalibrationAndP:
     def test_thresholds_are_equal_tail_quantiles(self, nd):
-        lower, upper = calibrate(nd, 0.05)
+        rec = calibrate(nd, 0.05)
+        lower, upper = rec["lower"], rec["upper"]
         inside = np.mean((nd.values >= lower) & (nd.values <= upper))
         assert inside == pytest.approx(0.95, abs=0.01)
         assert lower < upper
+
+    def test_record_keys(self):
+        (nd,) = simulate_null((StatisticSpec("vn"),), 20, plan(50, seed=3))
+        rec = calibrate(nd, 0.1)
+        assert list(rec) == ["stat", "n", "level", "lower", "upper", "replicates", "seed"]
+        assert (rec["stat"], rec["n"], rec["level"], rec["replicates"], rec["seed"]) == (
+            "vn", 20, 0.1, 50, 3)
+        assert (rec["lower"], rec["upper"]) == (float(np.quantile(nd.values, 0.05)),
+                                                float(np.quantile(nd.values, 0.95)))
 
     def test_level_domain(self, nd):
         with pytest.raises(ValueError):
@@ -159,7 +169,8 @@ class TestCalibrationAndP:
         assert p_value(nd, 3.0) <= p_value(nd, 1.0)
 
     def test_size_equals_level(self, nd):
-        lower, upper = calibrate(nd, 0.05)
+        rec = calibrate(nd, 0.05)
+        lower, upper = rec["lower"], rec["upper"]
         (fresh,) = simulate_null((StatisticSpec("vn"),), 30, plan(4000, seed=555))
         rate = np.mean((fresh.values < lower) | (fresh.values > upper))
         se = np.sqrt(0.05 * 0.95 / 4000)
@@ -233,7 +244,8 @@ class TestPower:
         (cell,) = power_study((null,), alt, level)
         x = np.stack([sample_alternative(alt, n, RandomStream(7, b + i)) for i in range(b)])
         vals = evaluate_batch(spec, x)
-        lower, upper = calibrate(null, level)
+        rec = calibrate(null, level)
+        lower, upper = rec["lower"], rec["upper"]
         with np.errstate(invalid="ignore"):
             reject = ~((vals >= lower) & (vals <= upper))
         assert cell["power"] == float(np.mean(reject))
