@@ -176,20 +176,22 @@ def read_observations(path: str, column: int | None = None) -> np.ndarray:
     often write, is dropped.
     """
     out = array("d")
-    binary = sys.stdin.buffer if path == "-" else open(path, "rb")
-    with io.TextIOWrapper(binary, encoding="utf-8-sig", errors="replace") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            body = line.partition("#")[0].strip()
-            if not body:
-                continue
-            try:
-                token = body.split(",")[column].strip() if column is not None else body
-                value = float(token)
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: cannot parse {body!r}")
-            if not math.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value {body!r}")
-            out.append(value)
+    try:
+        binary = sys.stdin.buffer if path == "-" else open(path, "rb")
+        with io.TextIOWrapper(binary, encoding="utf-8-sig", errors="replace") as lines:
+            for lineno, line in enumerate(lines, start=1):
+                body = line.partition("#")[0].strip()
+                if not body:
+                    continue
+                try:
+                    value = float(body.split(",")[column].strip() if column is not None else body)
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}:{lineno}: cannot parse {body!r}")
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: non-finite value {body!r}")
+                out.append(value)
+    except MemoryError:
+        raise MemoryError(f"{path}: out of memory after {len(out)} values") from None
     if not out:
         raise DataError(f"{path}: no observations found")
     return np.frombuffer(out)

@@ -17,9 +17,10 @@ Six scale-ratio / characterization test statistics (``STATISTIC_KINDS``):
             (scale AND location invariant).
 * ``ran`` — sum-stability kernel statistic on the MLE-scaled sample. Below
             ``_EXP_SUM_N`` its n(n-1)/2 pair terms per row are evaluated once
-            each, by cyclic shifts; from there on the pair term is an
-            exponential sum of K = 77 terms, O(n K) per row. Both run in
-            blocks under a fixed memory budget.
+            each, by cyclic shifts in one block per row group; from there on
+            the pair term is an exponential sum of K = 84 terms, O(n K) per
+            row, whose nodes double every third term, so most of its
+            exponentials are squares. Both run under a fixed memory budget.
 * ``deltan`` — pairwise-minimum characterization statistic; O(n log n) per
             row from prefix sums of the sorted row.
 
@@ -73,17 +74,24 @@ _TINY = 1e-300
 _PAIR_BUDGET = 2**15
 
 # `ran` evaluates its pair term as an exponential sum from this n on; below
-# it the O(n^2) shift kernel is faster.
-_EXP_SUM_N = 128
+# it the O(n^2) shift kernel is faster (at n = 64, 5.4 against 4.9 ms per
+# 512 rows), and all n // 2 shifts of a row group fit one block.
+_EXP_SUM_N = 64
 
 # Trapezoid rule for u^-2.5 = Gamma(2.5)^-1 int exp(2.5 t - u e^t) dt at step
-# h = 1/4 on t in [-15, 4] (Beylkin & Monzon, ACHA 2010): u^-2.5 ~ sum_k w_k
-# exp(-tau_k u), tau_k = e^t_k, w_k = h e^(2.5 t_k) / Gamma(2.5), K = 77
-# nodes. For u >= 1 the error is below 2e-14 u^-2.5 + 1.5e-17; the second
-# term is the cut at t = -15.
-_EXP_TAU = np.exp(np.arange(-60, 17) / 4.0)
-_EXP_W = 0.25 * _EXP_TAU ** 2.5 / math.gamma(2.5)
-
+# h = ln 2 / 3 from t = -15 (Beylkin & Monzon, ACHA 2010): u^-2.5 ~ sum_k w_k
+# exp(-tau_k u), tau_k = e^t_k, w_k = h e^(2.5 t_k) / Gamma(2.5), K = 84
+# nodes in 28 generations of 3 up to t = 4.18. Each generation is exactly
+# twice the one before, so exp(-tau_(k+3) u) is the square of exp(-tau_k u).
+# For u >= 1 the error is below 1.3e-14 u^-2.5 + 1.5e-17; the second term is
+# the cut at t = -15.
+_EXP_TAU = (np.exp(-15.0 + math.log(2.0) / 3.0 * np.arange(3))
+            * 2.0 ** np.arange(28)[:, None]).ravel()
+_EXP_W = math.log(2.0) / 3.0 * _EXP_TAU ** 2.5 / math.gamma(2.5)
+# Every _EXP_REFRESH-th generation of the exponential sum calls exp; the
+# others square the generation before, so a term is at most 4 squarings
+# from an exp and keeps its relative error below ~5e-15.
+_EXP_REFRESH = 5
 
 # --- row-wise kernels -------------------------------------------------------
 # Every estimator and statistic is evaluated row-wise on a (B, n) matrix; the
@@ -199,62 +207,60 @@ def _shift_pairs(q):
     # Each unordered pair {i, j} is (i, i + d mod n) for one cyclic shift d
     # in 1..n//2, except that at d = n/2 (n even) every pair appears twice, so
     # that shift is halved. Shift d is window d of q followed by its first
-    # half, a strided view. A block of shifts d0 <= d < d0 + h for a group of
-    # rows is evaluated in place in two reused buffers of _PAIR_BUDGET
-    # elements, as 1 / (u * u * sqrt(u)), which is faster than u ** -2.5 and
-    # also gives 0 where u ** 2.5 overflows; then it is summed per row. The
-    # block shapes depend on n alone, so each row is summed in the same order
-    # whatever the batch; they leave room for at least 16 rows.
+    # half, a strided view. All shifts of a group of rows are one block,
+    # evaluated in place in two reused buffers of _PAIR_BUDGET elements (for
+    # n < _EXP_SUM_N a group holds at least 16 rows), as 1 / (u * u *
+    # sqrt(u)), which is faster than u ** -2.5 and also gives 0 where u ** 2.5
+    # overflows; then it is summed per row. The group size depends on n
+    # alone, so each row is summed in the same order whatever the batch.
     b, n = q.shape
     half = n // 2
     wrapped = np.concatenate([q, q[:, :half]], axis=1)
-    shifted = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
-    height = max(1, min(half, _PAIR_BUDGET // (16 * n)))
-    group = max(1, _PAIR_BUDGET // (height * n))
-    buf = np.empty((2, min(group, b) * height * n))
-    pairs = np.zeros(b)
+    shifted = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)[:, 1:]
+    group = max(1, _PAIR_BUDGET // (half * n))
+    buf = np.empty((2, min(group, b), half, n))
+    pairs = np.empty(b)
     for r0 in range(0, b, group):
-        g = min(group, b - r0)
-        for d0 in range(1, half + 1, height):
-            h = min(height, half + 1 - d0)
-            t, w = buf[:, :g * h * n].reshape(2, g, h, n)
-            np.add(q[r0:r0 + g, None, :], shifted[r0:r0 + g, d0:d0 + h], out=t)
-            np.sqrt(t, out=w)
-            w *= t
-            w *= t
-            np.divide(1.0, w, out=t)
-            if d0 + h > half and 2 * half == n:
-                t[:, -1] *= 0.5
-            pairs[r0:r0 + g] += t.reshape(g, h * n).sum(axis=1)
+        t, w = buf[:, :min(group, b - r0)]
+        np.add(q[r0:r0 + group, None, :], shifted[r0:r0 + group], out=t)
+        np.sqrt(t, out=w)
+        w *= t
+        w *= t
+        np.divide(1.0, w, out=t)
+        if 2 * half == n:
+            t[:, -1] *= 0.5
+        t.reshape(len(t), half * n).sum(axis=1, out=pairs[r0:r0 + group])
     return ((2.0 * q) ** -2.5).sum(axis=1) + 2.0 * pairs
 
 
 def _exp_pairs(q):
     # With v = 2 min q every pair sum of q / v is >= 1, and by the nodes of
     # _EXP_TAU sum_ij (q_i + q_j)^-2.5 = v^-2.5 sum_k w_k (sum_i exp(-tau_k
-    # q_i / v))^2; p holds -q / v. The exponents are clipped at -700, where
-    # exp is still a normal number (a subnormal result costs ~100x the time);
-    # every row sum holds exp(-tau_k / 2) > 1e-12, so the clip moves no
-    # digit. A block of nodes for a group of rows is one (g, k, n) buffer of
-    # 2 * _PAIR_BUDGET elements (n of them when n is larger); its shape
-    # depends on n alone, so each row is summed in the same order whatever
-    # the batch.
+    # q_i / v))^2; p holds -q / v. A group of rows runs the 28 generations
+    # of 3 nodes in one (g, 3, n) buffer of 2 * _PAIR_BUDGET elements (3 n
+    # when n is larger). Every _EXP_REFRESH-th generation is exp(p tau),
+    # with the exponents clipped at -700, where exp is still a normal number
+    # (a subnormal result costs ~100x the time); every row sum holds
+    # exp(-tau_k / 2) > 6e-15, so the clip moves no digit. The generations
+    # in between square the buffer in place: a value that underflows reaches
+    # 0 through at most one subnormal. The group size depends on n alone,
+    # so each row is summed in the same order whatever the batch.
     b, n = q.shape
     v = 2.0 * q.min(axis=1)
     p = q / -v[:, None]
-    nodes = max(1, min(_EXP_TAU.size, 2 * _PAIR_BUDGET // n))
-    group = max(1, 2 * _PAIR_BUDGET // (nodes * n))
-    buf = np.empty(min(group, b) * nodes * n)
+    group = max(1, 2 * _PAIR_BUDGET // (3 * n))
+    buf = np.empty((min(group, b), 3, n))
     sums = np.empty((b, _EXP_TAU.size))
     for r0 in range(0, b, group):
-        g = min(group, b - r0)
-        for k0 in range(0, _EXP_TAU.size, nodes):
-            k = min(nodes, _EXP_TAU.size - k0)
-            t = buf[:g * k * n].reshape(g, k, n)
-            np.multiply(p[r0:r0 + g, None, :], _EXP_TAU[k0:k0 + k, None], out=t)
-            np.maximum(t, -700.0, out=t)
-            np.exp(t, out=t)
-            t.sum(axis=2, out=sums[r0:r0 + g, k0:k0 + k])
+        t = buf[:min(group, b - r0)]
+        for k0 in range(0, _EXP_TAU.size, 3):
+            if k0 % (3 * _EXP_REFRESH):
+                t *= t
+            else:
+                np.multiply(p[r0:r0 + group, None, :], _EXP_TAU[k0:k0 + 3, None], out=t)
+                np.maximum(t, -700.0, out=t)
+                np.exp(t, out=t)
+            t.sum(axis=2, out=sums[r0:r0 + group, k0:k0 + 3])
     sums *= sums
     sums *= _EXP_W
     return v ** -2.5 * sums.sum(axis=1)
@@ -263,8 +269,8 @@ def _exp_pairs(q):
 def _ran(spec, batch):
     # The pair term sums (q_i + q_j)^-2.5 with q = a/2 + s/4 over all (i, j):
     # by cyclic shifts below _EXP_SUM_N, where it is O(n^2) per row, and by
-    # the O(n K) exponential sum from there on. Dispatch is on n alone, so a
-    # row gives the same value in any batch.
+    # the O(n K) exponential sum of squared exponentials from there on.
+    # Dispatch is on n alone, so a row gives the same value in any batch.
     x = batch.x
     n = x.shape[1]
     a = spec.tuning

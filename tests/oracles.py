@@ -14,11 +14,17 @@ code with the part of the package it checks:
   as given, against the ``qcv`` and ``cn`` kernels of ``statistics``, which
   first scale each window by a power of two; the two agree bit for bit at
   ordinary magnitudes;
+* ``shift_pairs_in_blocks`` and ``exp_pairs_77`` are the earlier pair
+  kernels of ``ran``: cyclic shifts in blocks of at most 2**15 elements, and
+  the exponential sum on 77 nodes at step 1/4 with an ``exp`` per node. The
+  one-block shift kernel must equal the first bit for bit, and the
+  exponential sum on squared exponentials must stay near the second;
 * ``fixture_sha256`` digests the embedded case-study data.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 from scipy import stats
@@ -114,3 +120,59 @@ def fixture_sha256(name: str) -> str:
     """Digest of the canonical two-decimal rendering of the raw values."""
     text = "\n".join(f"{v:.2f}" for v in fixture_raw(name))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+_PAIR_BUDGET = 2**15
+_EXP_TAU_77 = np.exp(np.arange(-60, 17) / 4.0)
+_EXP_W_77 = 0.25 * _EXP_TAU_77 ** 2.5 / math.gamma(2.5)
+
+
+def shift_pairs_in_blocks(q: np.ndarray) -> np.ndarray:
+    """sum_ij (q_i + q_j)^-2.5 per row, by cyclic shifts d0 <= d < d0 + h in
+    blocks of at most 2**15 elements, summed into a zeroed vector."""
+    b, n = q.shape
+    half = n // 2
+    wrapped = np.concatenate([q, q[:, :half]], axis=1)
+    shifted = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
+    height = max(1, min(half, _PAIR_BUDGET // (16 * n)))
+    group = max(1, _PAIR_BUDGET // (height * n))
+    buf = np.empty((2, min(group, b) * height * n))
+    pairs = np.zeros(b)
+    for r0 in range(0, b, group):
+        g = min(group, b - r0)
+        for d0 in range(1, half + 1, height):
+            h = min(height, half + 1 - d0)
+            t, w = buf[:, :g * h * n].reshape(2, g, h, n)
+            np.add(q[r0:r0 + g, None, :], shifted[r0:r0 + g, d0:d0 + h], out=t)
+            np.sqrt(t, out=w)
+            w *= t
+            w *= t
+            np.divide(1.0, w, out=t)
+            if d0 + h > half and 2 * half == n:
+                t[:, -1] *= 0.5
+            pairs[r0:r0 + g] += t.reshape(g, h * n).sum(axis=1)
+    return ((2.0 * q) ** -2.5).sum(axis=1) + 2.0 * pairs
+
+
+def exp_pairs_77(q: np.ndarray) -> np.ndarray:
+    """sum_ij (q_i + q_j)^-2.5 per row, as v^-2.5 sum_k w_k (sum_i exp(-tau_k
+    q_i / v))^2 with v = 2 min q, on 77 trapezoid nodes with an exp each."""
+    b, n = q.shape
+    v = 2.0 * q.min(axis=1)
+    p = q / -v[:, None]
+    nodes = max(1, min(_EXP_TAU_77.size, 2 * _PAIR_BUDGET // n))
+    group = max(1, 2 * _PAIR_BUDGET // (nodes * n))
+    buf = np.empty(min(group, b) * nodes * n)
+    sums = np.empty((b, _EXP_TAU_77.size))
+    for r0 in range(0, b, group):
+        g = min(group, b - r0)
+        for k0 in range(0, _EXP_TAU_77.size, nodes):
+            k = min(nodes, _EXP_TAU_77.size - k0)
+            t = buf[:g * k * n].reshape(g, k, n)
+            np.multiply(p[r0:r0 + g, None, :], _EXP_TAU_77[k0:k0 + k, None], out=t)
+            np.maximum(t, -700.0, out=t)
+            np.exp(t, out=t)
+            t.sum(axis=2, out=sums[r0:r0 + g, k0:k0 + k])
+    sums *= sums
+    sums *= _EXP_W_77
+    return v ** -2.5 * sums.sum(axis=1)

@@ -604,6 +604,21 @@ class TestOtherCommands:
         assert out == ""
         assert err == "error: out of memory\n"
 
+    def test_memory_error_while_reading_names_the_input(self, tmp_path, capsys, monkeypatch):
+        # The buffer of values runs out after 3 of the 5 lines.
+        class ShortArray(cli.array):
+            def append(self, value):
+                if len(self) == 3:
+                    raise MemoryError()
+                super().append(value)
+        monkeypatch.setattr(cli, "array", ShortArray)
+        path = tmp_path / "big.txt"
+        path.write_text("1\n2\n3\n4\n5\n")
+        code, out, err = run(capsys, "estimate", "--method", "mle", "--input", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {path}: out of memory after 3 values\n"
+
     @pytest.mark.parametrize("argv", [("--help",), ("calibrate", "--help")])
     def test_help_exits_ok(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levygof import statistics
 from levygof.condmoments import QuantileSplit, window_indices
 from levygof.distributions import LevyParams, sample_levy
 from levygof.statistics import (_EXP_SUM_N, _EXP_TAU, _EXP_W, _KERNELS, METHODS, STATISTIC_KINDS,
-                                Batch, EstimationError, StatisticSpec, evaluate, evaluate_batch,
-                                mle, qcv)
+                                Batch, EstimationError, StatisticSpec, _shift_pairs, evaluate,
+                                evaluate_batch, mle, qcv)
 from levygof.streams import RandomStream
-from oracles import cn_unscaled, qcv_unscaled
+from oracles import cn_unscaled, exp_pairs_77, qcv_unscaled, shift_pairs_in_blocks
 
 SAMPLE = sample_levy(LevyParams(c=3.0), 60, RandomStream(17))
 
@@ -269,6 +270,11 @@ def _family_rows(family, rng, b, n):
     return 10.0 ** rng.uniform(-100.0, 100.0, size=(b, n))
 
 
+def _pair_q(x, tuning):
+    """The q of `ran`'s pair term: a / 2 + s / 4 on the MLE-scaled rows."""
+    return x / mle(x)[:, None] / 4.0 + tuning / 2.0
+
+
 @st.composite
 def _rows(draw):
     b = draw(st.integers(min_value=1, max_value=20))
@@ -299,11 +305,11 @@ class TestPairKernels:
     @pytest.mark.parametrize("tuning", [1e-200, 0.05, 0.2, 3.0, 1e3])
     @pytest.mark.parametrize("n", [_EXP_SUM_N - 1, _EXP_SUM_N, 250, 251, 1000])
     def test_ran_matches_dense_oracle_in_several_blocks(self, n, tuning, family):
-        # The strategy above stops at n = 80, a single block of shifts. Just
-        # below _EXP_SUM_N the shifts span several blocks, and at even n the
-        # half shift sits inside the last one; from _EXP_SUM_N on the pair
-        # term is the exponential sum, in several row groups (and at n = 1000
-        # several blocks of nodes).
+        # The strategy above draws n up to 80. These cases reach further: at
+        # _EXP_SUM_N - 1, the largest n of the shift kernel, all n // 2
+        # shifts of the rows are one block; from _EXP_SUM_N on the pair term
+        # is the exponential sum, most of whose node generations are squares
+        # of the one before.
         x = _family_rows(family, np.random.default_rng(n), 3 if n == 1000 else 8, n)
         spec = StatisticSpec("ran", tuning=tuning)
         fast, dense = evaluate_batch(spec, x), _dense(spec, x)
@@ -322,6 +328,47 @@ class TestPairKernels:
             for r0 in (0, 3, 505):
                 part = evaluate_batch(StatisticSpec("ran"), rows[r0:r0 + size].copy())
                 assert np.array_equal(part, out[r0:r0 + size], equal_nan=True)
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_shift_kernel_equals_the_block_reference(self, rows):
+        # All shifts of a row group in one block give the bytes of the earlier
+        # kernel, which summed blocks of shifts into a zeroed vector.
+        rng = np.random.default_rng(rows)
+        for family in ("levy", "ties", "decades"):
+            for n in range(2, _EXP_SUM_N):
+                q = _pair_q(_family_rows(family, rng, rows, n), 0.2)
+                with np.errstate(all="ignore"):
+                    assert np.array_equal(_shift_pairs(q), shift_pairs_in_blocks(q)), (family, n)
+
+    @pytest.mark.parametrize("family", ["levy", "ties", "decades"])
+    @pytest.mark.parametrize("tuning", [1e-200, 0.2, 1e3])
+    @pytest.mark.parametrize("n", [64, 100, 127, 128, 250, 1000])
+    def test_ran_stays_near_the_77_node_reference(self, monkeypatch, n, tuning, family):
+        x = _family_rows(family, np.random.default_rng(n), 3 if n == 1000 else 8, n)
+        spec = StatisticSpec("ran", tuning=tuning)
+        fast = evaluate_batch(spec, x)
+        # The reference takes the exponential sum at every n.
+        monkeypatch.setattr(statistics, "_EXP_SUM_N", 2)
+        monkeypatch.setattr(statistics, "_exp_pairs", exp_pairs_77)
+        ref = evaluate_batch(spec, x)
+        assert np.isfinite(ref).all()
+        assert (np.abs(fast - ref) <= 1e-13 * (1.0 + np.abs(ref))).all()
+
+    def test_exp_nodes_double_every_third(self):
+        assert np.array_equal(_EXP_TAU[3:], 2.0 * _EXP_TAU[:-3])
+
+    @pytest.mark.parametrize("family", ["levy", "ties", "decades"])
+    @pytest.mark.parametrize("tuning", [1e-200, 0.2, 1e3])
+    @pytest.mark.parametrize("n", [_EXP_SUM_N, 250, 1000])
+    def test_squares_match_an_exp_per_node(self, monkeypatch, n, tuning, family):
+        # Each generation squared from the one before, against an exp for
+        # every generation.
+        q = _pair_q(_family_rows(family, np.random.default_rng(n + 1), 40, n), tuning)
+        with np.errstate(all="ignore"):
+            chained = statistics._exp_pairs(q)
+            monkeypatch.setattr(statistics, "_EXP_REFRESH", 1)
+            direct = statistics._exp_pairs(q)
+        assert (np.abs(chained - direct) <= 1e-14 * direct).all()
 
     def test_exp_sum_nodes(self):
         # sum_k w_k exp(-V tau_k) against V^-2.5 for pair sums V >= 1. The cut
