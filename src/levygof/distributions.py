@@ -79,8 +79,7 @@ def _draw(n: int, stream: RandomStream, rows: int | None, fill) -> np.ndarray:
     fill(generator, row) from stream (stream.master_seed, stream.stream_index + k)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    streams = [stream] if rows is None else RandomStream.block(
-        stream.master_seed, stream.stream_index, stream.stream_index + rows)
+    streams = [stream] if rows is None else stream.block(rows)
     out = np.empty((len(streams), n))
     # Extreme parameters may draw inf (e.g. Frechet with a tiny shape). The
     # values stand, without a NumPy warning, for the caller to judge: `sample`

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +133,9 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     # The pool may start every worker on the first submit, so more workers
     # than chunks or cores would only cost forks.
     workers = min(plan.worker_hint, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for s, vals in zip(starts, pool.map(_chunk_task, tasks)):
-                out[:, s:s + chunk] = vals
-    else:
-        for s, task in zip(starts, tasks):
-            out[:, s:s + chunk] = _chunk_task(task)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for s, vals in zip(starts, (pool.map if pool else map)(_chunk_task, tasks)):
+            out[:, s:s + chunk] = vals
     return out
 
 

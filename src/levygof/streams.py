@@ -5,7 +5,7 @@ of scheduling and worker count. Stream (s, i) is PCG64 seeded with the words
 `SeedSequence([s, i]).generate_state(4, np.uint64)`, which give the same byte
 sequence on every platform.
 
-`RandomStream.block` computes those words for a whole range of indices in one
+`stream.block(rows)` computes those words for a whole range of indices in one
 vectorised pass: a NumPy port of SeedSequence's entropy mixing for the two
 entropy values (seed, index). It gives the same words, so a stream from a
 block draws the same bytes as the stream built alone; a test against the
@@ -52,14 +52,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _XSHIFT)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """`_coerce_to_uint32_array(value)`: little-endian 32-bit words, 0 -> [0]."""
-    out = [value & _MASK32]
-    while value := value >> 32:
-        out.append(value & _MASK32)
-    return out
-
-
 def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     """Row i - start is `SeedSequence([master_seed, i]).generate_state(4, np.uint64)`
     for i in start ... stop - 1: a (stop - start, 4) uint64 array."""
@@ -67,8 +59,9 @@ def _seed_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     if index.size:  # only an empty block starts at 2**64, which uint64 cannot hold
         index += np.uint64(start)
     # The entropy [seed words, index words] zero-padded to the pool size 4.
-    # An index below 2**32 is one word; the padding supplies its zero high word.
-    seed = _uint32_words(master_seed)
+    # A seed below 2**64 is one or two words (`_coerce_to_uint32_array`); an
+    # index below 2**32 is one word, and the padding supplies its zero high word.
+    seed = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
     pool = np.zeros((index.size, 4), dtype=np.uint32)
     pool[:, :len(seed)] = seed
     pool[:, len(seed)] = index & np.uint64(_MASK32)
@@ -121,21 +114,21 @@ class RandomStream:
             if not 0 <= _as_int(name, getattr(self, name)) < 2**64:
                 raise ValueError(f"{name} must fit in 64 bits")
 
-    @classmethod
-    def block(cls, master_seed: int, start: int, stop: int) -> list[RandomStream]:
-        """Streams start ... stop - 1 of one seed, their seed words computed in
-        one pass. Each equals, and draws the same bytes as, RandomStream(master_seed, i)."""
-        cls(master_seed)
-        start, stop = _as_int("start", start), _as_int("stop", stop)
-        if not 0 <= start <= stop <= 2**64:
-            raise ValueError("a block needs 0 <= start <= stop <= 2**64")
-        words = _seed_words(int(master_seed), start, stop)
+    def block(self, rows: int) -> list[RandomStream]:
+        """Streams stream_index ... stream_index + rows - 1 of this stream's seed,
+        their seed words computed in one pass. Each equals, and draws the same
+        bytes as, RandomStream(master_seed, i)."""
+        start = int(self.stream_index)
+        stop = start + _as_int("rows", rows)
+        if not start <= stop <= 2**64:
+            raise ValueError("a block needs rows >= 0 and stream_index + rows <= 2**64")
+        words = _seed_words(int(self.master_seed), start, stop)
         words.flags.writeable = False
         streams = []
         for index, row in zip(range(start, stop), words):
-            # Bypasses __init__: the seed and the range are checked above.
-            stream = object.__new__(cls)
-            stream.__dict__.update(master_seed=master_seed, stream_index=index, _words=row)
+            # Bypasses __init__: this stream's seed is valid and the range is checked above.
+            stream = object.__new__(type(self))
+            stream.__dict__.update(master_seed=self.master_seed, stream_index=index, _words=row)
             streams.append(stream)
         return streams
 

@@ -882,9 +882,11 @@ def _names(node):
 
 class TestStartup:
     def test_package_import_loads_no_numpy(self):
-        code = ("import sys, levygof; "
-                "print('numpy' in sys.modules, set(levygof.__all__) <= set(dir(levygof)))")
-        assert run_in_subprocess(code).stdout.split() == ["False", "True"]
+        # dir() lists the names no attribute access has loaded yet, and loads none.
+        code = ("import sys, levygof; print('numpy' in sys.modules, "
+                "set(levygof.__all__) <= set(dir(levygof)), 'numpy' in sys.modules)")
+        assert run_in_subprocess(code).stdout.split() == ["False", "True", "False"]
+        assert set(levygof.__all__) <= set(dir(levygof))  # __dir__ in this process too
 
     @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
     def test_cli_import_runs_openblas_on_one_thread_unless_set(self, given, expected):

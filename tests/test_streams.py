@@ -60,9 +60,10 @@ def test_port_matches_seed_sequence(seed, start, length):
     assert np.array_equal(_seed_words(seed, start, stop), seed_sequence_words(seed, start, stop))
 
 
-@pytest.mark.parametrize("seed, start", [(0, 0), (7, 2**32 - 10), (2**40 + 3, 500), (2**64 - 1, 0)])
+@pytest.mark.parametrize("seed, start", [(0, 0), (7, 2**32 - 10), (2**40 + 3, 500), (2**64 - 1, 0),
+                                         (2**64 - 1, 2**64 - 20)])  # ends at the last stream
 def test_block_streams_draw_the_same_bytes(seed, start):
-    block = RandomStream.block(seed, start, start + 20)
+    block = RandomStream(seed, start).block(20)
     assert [s.stream_index for s in block] == list(range(start, start + 20))
     for s in block:
         alone = RandomStream(seed, s.stream_index)
@@ -75,7 +76,7 @@ def test_block_streams_draw_the_same_bytes(seed, start):
 
 
 def test_block_generators_held_at_once_do_not_share_state():
-    a, b = RandomStream.block(5, 0, 2)
+    a, b = RandomStream(5, 0).block(2)
     ga, gb, ga_again = a.generator(), b.generator(), a.generator()
     head, b_head, tail = ga.random(3), gb.random(4), ga.random(3)
     want_a = RandomStream(5, 0).generator().random(6)
@@ -85,13 +86,31 @@ def test_block_generators_held_at_once_do_not_share_state():
     assert ga_again.random(6).tobytes() == want_a.tobytes()
 
 
-@pytest.mark.parametrize("seed, start, stop", [
-    (0, -1, 3), (0, 2**64 - 1, 2**64 + 1), (0, 5, 4), (-1, 0, 3), (2**64, 0, 3), (0, 0.5, 3),
-    (0, 0, "3"),
-])
-def test_block_rejects_bad_ranges(seed, start, stop):
+@pytest.mark.parametrize("seed, start", [(0, -1), (-1, 0), (2**64, 0), (0, 0.5)])
+def test_bad_seed_or_start_is_refused_before_a_block(seed, start):
     with pytest.raises(ValueError):
-        RandomStream.block(seed, start, stop)
+        RandomStream(seed, start)
+
+
+@pytest.mark.parametrize("start, rows", [(5, -1), (0, "3"), (0, 0.5), (2**64 - 1, 2),
+                                         (2**64 - 4, 5)])
+def test_block_rejects_bad_ranges(start, rows):
+    with pytest.raises(ValueError):
+        RandomStream(0, start).block(rows)
+
+
+def test_empty_block():
+    assert RandomStream(3, 7).block(0) == []
+    assert RandomStream(3, 2**64 - 1).block(0) == []
+
+
+def test_block_of_numpy_integers_matches_python_ints():
+    got = RandomStream(np.uint64(2**40 + 3), np.int64(9)).block(np.int32(4))
+    want = RandomStream(2**40 + 3, 9).block(4)
+    assert got == want
+    for g, w in zip(got, want):
+        assert np.array_equal(g._words, w._words)
+        assert g.generator().random(8).tobytes() == w.generator().random(8).tobytes()
 
 
 @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64),
