@@ -340,8 +340,8 @@ def _add_mc_flags(p):
 def _add_stat_flags(p, group=None):
     # --stat, once per statistic, is required unless it sits in a mutually
     # exclusive `group`.
-    (group or p).add_argument("--stat", choices=STATISTIC_KINDS, required=group is None,
-                              action="append")
+    (group or p).add_argument("--stat", type=str.lower, choices=STATISTIC_KINDS,
+                              required=group is None, action="append")
     p.add_argument("--split", type=_typed(_split), action="append",
                    help="a,b window; once per window (twice for on/cn)")
 

@@ -1,9 +1,10 @@
 """Quantile conditional moments of the one-sided Levy law.
 
 Closed forms for the conditional mean and variance on a quantile window,
-and row-wise order-statistic window kernels on sorted rows (one sample or a
-(B, n) batch). The scale estimators and statistics built on the kernels live
-in `statistics`.
+and the window convention: which order statistics a window holds at sample
+size n (`window_indices`), and from which n it holds enough (`window_bound`).
+The row-wise kernels that cut these windows from sorted rows, and the scale
+estimators and statistics built on them, live in `statistics`.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ __all__ = [
     "theoretical_qcv",
     "window_bound",
     "window_indices",
-    "window_mean",
-    "window_var",
 ]
 
 _SQRT_PI = np.sqrt(np.pi)
@@ -48,16 +47,6 @@ class QuantileSplit:
         # The closed forms diverge at b = 1 (the unconditional mean is infinite).
         if self.b >= 1.0:
             raise ValueError("theoretical moments require b < 1")
-
-
-def _values(sample) -> np.ndarray:
-    """One sample as a flat float array; it must be nonempty and finite."""
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size < 1:
-        raise ValueError("sample must contain at least one observation")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains non-finite values")
-    return x
 
 
 def _check_scale(c: float) -> None:
@@ -129,34 +118,4 @@ def window_bound(split: QuantileSplit, width: int) -> int:
     checked at the actual n.
     """
     return math.ceil(width / (split.b - split.a))
-
-
-def _short_window(n: int, split: QuantileSplit, width: int) -> str | None:
-    """Why the window holds fewer than `width` order statistics at n, or None if it does not."""
-    i, j = window_indices(n, split)
-    if j - i < width:
-        return f"window ({split.a}, {split.b}) holds {j - i} order statistics, fewer than {width}"
-    return None
-
-
-def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
-    n = xs.shape[-1]
-    short = _short_window(n, split, width)
-    if short:
-        raise EstimationError(f"{short} at n={n}; need n >= {window_bound(split, width)}")
-    i, j = window_indices(n, split)
-    return xs[..., i:j]
-
-
-def window_mean(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
-    """Mean of the order statistics with 1-based index in (floor(na), floor(nb)].
-
-    `xs` holds sorted rows along its last axis: one sample or a (B, n) batch.
-    """
-    return _window(xs, split, 1).mean(axis=-1)
-
-
-def window_var(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
-    """Windowed variance of sorted rows, with divisor equal to the window size."""
-    return _window(xs, split, 2).var(axis=-1)
 

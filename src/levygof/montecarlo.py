@@ -72,10 +72,10 @@ class ReplicationPlan:
     worker_hint: int = 1
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.worker_hint < 1:
-            raise ValueError("worker_hint must be >= 1")
+        for name in ("replicates", "worker_hint"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         # Validate the seed eagerly through the stream type.
         RandomStream(self.master_seed)
 

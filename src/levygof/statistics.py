@@ -40,8 +40,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import (EstimationError, QuantileSplit, _short_window, _values, _window,
-                          theoretical_qcm, theoretical_qcv, window_bound, window_mean)
+from .condmoments import (EstimationError, QuantileSplit, theoretical_qcm, theoretical_qcv,
+                          window_bound, window_indices)
 
 __all__ = [
     "EstimationError",
@@ -98,11 +98,30 @@ _EXP_REFRESH = 5
 # scalar path is the one-row case. Row-local reductions make results
 # independent of how the batch is chunked. A table kernel takes the spec and
 # the Batch of the rows; the estimators below are called with the sorted rows
-# and a window, or the rows.
+# and a window, or the rows. Every window of order statistics is cut here, by
+# `_window`, on the convention of `window_indices`.
+
+def _short_window(n: int, split: QuantileSplit, width: int) -> str | None:
+    """Why the window holds fewer than `width` order statistics at n, or None if it does not."""
+    i, j = window_indices(n, split)
+    if j - i < width:
+        return f"window ({split.a}, {split.b}) holds {j - i} order statistics, fewer than {width}"
+    return None
+
+
+def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
+    n = xs.shape[-1]
+    short = _short_window(n, split, width)
+    if short:
+        raise EstimationError(f"{short} at n={n}; need n >= {window_bound(split, width)}")
+    i, j = window_indices(n, split)
+    return xs[..., i:j]
+
 
 def qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
-    """QCM scale of sorted rows: windowed mean over the Lv(1) window constant."""
-    return window_mean(xs, split) / theoretical_qcm(split, 1.0)
+    """QCM scale of sorted rows: mean of the order statistics with 1-based
+    index in (floor(na), floor(nb)] over the Lv(1) window constant."""
+    return _window(xs, split, 1).mean(axis=-1) / theoretical_qcm(split, 1.0)
 
 
 def _unit_var(xs: np.ndarray, split: QuantileSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +334,7 @@ _KERNELS = {
     "cov": _Kernel(lambda spec, batch: batch.cov.copy(), True, 0),
     "vn": _Kernel(_vn, True, 0),
     "on": _Kernel(_on, True, 1, (QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95))),
-    "tn": _Kernel(_tn, True, 1, (QuantileSplit(0.02, 0.48),)),
+    "tn": _Kernel(_tn, True, 1, (QCM_SPLIT_DEFAULT,)),
     # location invariant, so nonpositive data are legitimate
     "cn": _Kernel(_cn, False, 2, (QuantileSplit(0.0, 0.4), QuantileSplit(0.8, 0.95))),
     "ran": _Kernel(_ran, True, 0),
@@ -392,14 +411,18 @@ def evaluate_batch(spec: StatisticSpec, x: np.ndarray,
 
 
 def evaluate(spec: StatisticSpec, sample) -> float:
-    """Value of the estimator or statistic on one sample; raises EstimationError
-    on precondition failure.
+    """Value of the estimator or statistic on one sample; raises ValueError on
+    an empty or non-finite sample, and EstimationError on precondition failure.
 
     An estimator (a row of METHODS) must come out > 0, else the error gives the
     row's failure text; `mle` and `cov` first refuse observations below 1e-300.
     A statistic must come out finite.
     """
-    x = _values(sample)
+    x = np.asarray(sample, dtype=float).ravel()
+    if x.size < 1:
+        raise ValueError("sample must contain at least one observation")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample contains non-finite values")
     reason = METHODS.get(spec.kind)
     if reason and _KERNELS[spec.kind].positive and np.any(x < _TINY):
         raise EstimationError("all observations must be positive (and above 1e-300)")

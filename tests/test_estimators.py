@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levygof.condmoments import (QuantileSplit, theoretical_qcm, theoretical_qcv,
-                                 window_mean, window_var)
+from levygof.condmoments import QuantileSplit
 from levygof.distributions import LevyParams, sample_levy
 from levygof.montecarlo import ReplicationPlan, simulate_null
 from levygof.statistics import (METHODS, QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
@@ -113,8 +112,6 @@ class TestRowKernels:
         xs = np.sort(self.ROWS, axis=1)
         split = QuantileSplit(0.1, 0.65)
         for kernel, data in ((mle, self.ROWS), (cov, self.ROWS),
-                             (lambda v: window_mean(v, split), xs),
-                             (lambda v: window_var(v, split), xs),
                              (lambda v: qcm(v, split), xs), (lambda v: qcv(v, split), xs)):
             batch = kernel(data)
             assert batch.shape == (data.shape[0],)
@@ -126,10 +123,8 @@ class TestRowKernels:
             xs = np.sort(row)[None, :]
             assert evaluate(StatisticSpec("mle"), row) == mle(row[None, :])[0]
             assert evaluate(StatisticSpec("cov"), row) == cov(row[None, :])[0]
-            assert evaluate(StatisticSpec("qcm"), row) == (
-                window_mean(xs, QCM_SPLIT_DEFAULT)[0] / theoretical_qcm(QCM_SPLIT_DEFAULT, 1.0))
-            assert evaluate(StatisticSpec("qcv"), row) == np.sqrt(
-                window_var(xs, QCV_SPLIT_DEFAULT)[0] / theoretical_qcv(QCV_SPLIT_DEFAULT, 1.0))
+            assert evaluate(StatisticSpec("qcm"), row) == qcm(xs, QCM_SPLIT_DEFAULT)[0]
+            assert evaluate(StatisticSpec("qcv"), row) == qcv(xs, QCV_SPLIT_DEFAULT)[0]
 
     def test_cov_nan_where_covariance_not_positive(self):
         rows = np.vstack([self.ROWS[0], np.full(37, 2.0)])

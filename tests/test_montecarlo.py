@@ -20,11 +20,17 @@ def plan(b, seed=100, workers=1):
 class TestPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ReplicationPlan(1, 0)
-        with pytest.raises(ValueError):
-            ReplicationPlan(1, 10, 0)
-        with pytest.raises(ValueError):
             ReplicationPlan(-1, 10)
+
+    @pytest.mark.parametrize("bad", [2.5, "10", 0], ids=["float", "str", "zero"])
+    @pytest.mark.parametrize("field", ["replicates", "worker_hint"])
+    def test_count_must_be_an_integer(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1$"):
+            ReplicationPlan(1, **{"replicates": 10, "worker_hint": 1, field: bad})
+
+    def test_numpy_integer_counts(self):
+        p = ReplicationPlan(1, np.int64(10), np.uint8(2))
+        assert (p.replicates, p.worker_hint) == (10, 2)
 
 
 class TestSimulateNull:
