@@ -10,8 +10,7 @@ import json
 
 import numpy as np
 
-from levygof.condmoments import QuantileSplit
-from levygof.distributions import LevyParams
+from levygof.distributions import LevyParams, QuantileSplit
 from levygof.montecarlo import ReplicationPlan, check_grid, simulate_null
 from levygof.statistics import StatisticSpec
 

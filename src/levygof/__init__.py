@@ -8,11 +8,11 @@ __version__ = "0.1.0"
 # first use (PEP 562), so `import levygof` alone loads no submodule and no
 # NumPy, and changes no setting of the process.
 _SUBMODULE = {name: module for module, names in [
-    ("condmoments", "QuantileSplit theoretical_qcm theoretical_qcv"),
+    ("distributions", "QuantileSplit theoretical_qcm theoretical_qcv"),
     ("datasets", "fixture_analysis fixture_raw"),
     ("distributions", "AlternativeSpec LevyParams levy_cdf levy_pdf levy_quantile "
                       "PAPER_ALTERNATIVES sample_alternative sample_levy"),
-    ("condmoments", "EstimationError"),
+    ("statistics", "EstimationError"),
     ("montecarlo", "NullDistribution ReplicationPlan calibrate normality_diagnostic "
                    "p_value null_grid power_grid power_study run_test simulate_null"),
     ("statistics", "StatisticSpec evaluate"),

@@ -36,13 +36,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from .condmoments import EstimationError, QuantileSplit  # noqa: E402
 from .datasets import FIXTURES, fixture_analysis  # noqa: E402
 from .distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams,  # noqa: E402
-                            family_name, levy_cdf, sample_alternative, sample_levy)
+                            QuantileSplit, family_name, levy_cdf, sample_alternative, sample_levy)
 from .montecarlo import (ReplicationPlan, _check_diagnostic, _check_level,  # noqa: E402
                          calibrate, normality_diagnostic, null_grid, power_grid, run_test)
-from .statistics import METHODS, STATISTIC_KINDS, StatisticSpec, evaluate  # noqa: E402
+from .statistics import (METHODS, STATISTIC_KINDS, EstimationError, StatisticSpec,  # noqa: E402
+                         evaluate)
 from .streams import RandomStream  # noqa: E402
 
 __all__ = ["main"]

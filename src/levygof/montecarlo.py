@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condmoments import EstimationError
 from .distributions import AlternativeSpec, LevyParams, sample_alternative, sample_levy
-from .statistics import Batch, StatisticSpec, evaluate, evaluate_batch
+from .statistics import Batch, EstimationError, StatisticSpec, evaluate, evaluate_batch
 from .streams import RandomStream
 
 __all__ = [

@@ -30,21 +30,28 @@ of ``evaluate_batch``, raising on precondition violations, with the row's
 as NaN so Monte Carlo callers can apply their own failure policy. Statistics
 evaluated on the same rows may share one ``Batch``, which computes the sorted
 rows, ``mle``, ``cov`` and the nonpositive-row mask once for all of them.
+
+The module also owns the window convention, ``window_indices`` (which order
+statistics a window holds at n) and ``window_bound`` (from which n it holds
+enough), and ``EstimationError``. The Lv(1) window constants are the closed
+forms of ``distributions``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .condmoments import (EstimationError, QuantileSplit, theoretical_qcm, theoretical_qcv,
-                          window_bound, window_indices)
+from .distributions import QuantileSplit, theoretical_qcm, theoretical_qcv
 
 __all__ = [
     "EstimationError",
+    "window_indices",
+    "window_bound",
     "METHODS",
     "qcm",
     "qcv",
@@ -93,6 +100,12 @@ _EXP_W = math.log(2.0) / 3.0 * _EXP_TAU ** 2.5 / math.gamma(2.5)
 # from an exp and keeps its relative error below ~5e-15.
 _EXP_REFRESH = 5
 
+
+class EstimationError(ValueError):
+    """Data violate a precondition of an estimator or statistic (non-Levy-like
+    input, or too few order statistics in a window)."""
+
+
 # --- row-wise kernels -------------------------------------------------------
 # Every estimator and statistic is evaluated row-wise on a (B, n) matrix; the
 # scalar path is the one-row case. Row-local reductions make results
@@ -100,6 +113,22 @@ _EXP_REFRESH = 5
 # the Batch of the rows; the estimators below are called with the sorted rows
 # and a window, or the rows. Every window of order statistics is cut here, by
 # `_window`, on the convention of `window_indices`.
+
+def window_indices(n: int, split: QuantileSplit) -> tuple[int, int]:
+    """Half-open index range [floor(n*a), floor(n*b)) into the order statistics."""
+    return int(np.floor(n * split.a)), int(np.floor(n * split.b))
+
+
+def window_bound(split: QuantileSplit, width: int) -> int:
+    """Sample size from which the window holds >= `width` order statistics at every n.
+
+    floor(nb) - floor(na) > n(b - a) - 1, so n >= width / (b - a) suffices.
+    The window size is not monotone in n, so below this bound a size must be
+    checked at the actual n. The quotient is exact: as a float it overflows
+    on a window narrower than about 1e-308.
+    """
+    return math.ceil(width / (Fraction(split.b) - Fraction(split.a)))
+
 
 def _short_window(n: int, split: QuantileSplit, width: int) -> str | None:
     """Why the window holds fewer than `width` order statistics at n, or None if it does not."""

@@ -5,7 +5,7 @@ name, as pytest puts this directory on ``sys.path``. Each oracle shares no
 code with the part of the package it checks:
 
 * ``qcmoment_quadrature_oracle`` integrates the Levy density numerically,
-  against the closed-form window moments of ``condmoments``;
+  against the closed-form window moments of ``distributions``;
 * ``sample_levy_inverse`` draws by the quantile transform of uniforms,
   against the ``mu + c / Z^2`` sampler of ``distributions``;
 * ``alternative_cdf`` gives each alternative family's CDF from scipy.stats,
@@ -19,6 +19,8 @@ code with the part of the package it checks:
   the exponential sum on 77 nodes at step 1/4 with an ``exp`` per node. The
   one-block shift kernel must equal the first bit for bit, and the
   exponential sum on squared exponentials must stay near the second;
+* ``vn_asymptotic_sd`` is the sd of vn's asymptotic null law by the delta
+  method and quadrature, against the Monte Carlo null of ``montecarlo``;
 * ``fixture_sha256`` digests the embedded case-study data.
 """
 from __future__ import annotations
@@ -29,10 +31,12 @@ import math
 import numpy as np
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import digamma
 
-from levygof.condmoments import QuantileSplit, theoretical_qcv, window_indices
 from levygof.datasets import fixture_raw
-from levygof.distributions import AlternativeSpec, LevyParams, levy_pdf, levy_quantile
+from levygof.distributions import (AlternativeSpec, LevyParams, QuantileSplit, levy_pdf,
+                                   levy_quantile, theoretical_qcv)
+from levygof.statistics import window_indices
 from levygof.streams import RandomStream
 
 
@@ -54,6 +58,27 @@ def qcmoment_quadrature_oracle(split: QuantileSplit, c: float = 1.0, order: int 
         raise QuadratureError(
             f"quadrature did not converge: value={val!r} err={err!r} split={split}")
     return val / (split.b - split.a)
+
+
+def vn_asymptotic_sd() -> float:
+    """Asymptotic sd of vn = sqrt(n) (cov / mle - 1) under the null.
+
+    Under Lv(1), Y = 1/X = Z^2 ~ chi^2_1 with Z standard normal, and
+    cov / mle = 2 mean(Y) / S, S the mean of (Y - mean Y)(log Y - mean log Y),
+    whose limit is Cov(Y, log Y) = 2. The delta method gives the influence
+    function psi(Y) = (Y - 1) - ((Y - 1)(log Y - E log Y) - 2) / 2, with
+    E log Y = digamma(1/2) + log 2, and the sd is sqrt(E psi^2): the integral
+    against the normal density in z over (0, inf), doubled.
+    """
+    elog = digamma(0.5) + math.log(2.0)
+
+    def psi_sq_density(z):
+        y = z * z
+        psi = (y - 1.0) - ((y - 1.0) * (math.log(y) - elog) - 2.0) / 2.0
+        return psi * psi * math.exp(-y / 2.0) / math.sqrt(2.0 * math.pi)
+
+    half, _ = quad(psi_sq_density, 0.0, math.inf)
+    return math.sqrt(2.0 * half)
 
 
 def sample_levy_inverse(p: LevyParams, n: int, stream: RandomStream) -> np.ndarray:

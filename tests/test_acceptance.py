@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levygof.condmoments import QuantileSplit, theoretical_qcm, theoretical_second_moment
 from levygof.datasets import fixture_analysis
-from levygof.distributions import AlternativeSpec, LevyParams, sample_levy
+from levygof.distributions import (AlternativeSpec, LevyParams, QuantileSplit, sample_levy,
+                                   theoretical_qcm, theoretical_second_moment)
 from levygof.montecarlo import ReplicationPlan, p_value, power_study, simulate_null
 from levygof.statistics import StatisticSpec, cov, evaluate, evaluate_batch, mle, qcm, qcv
 from levygof.streams import RandomStream

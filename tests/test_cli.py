@@ -19,9 +19,8 @@ import levygof.cli as cli
 import levygof.montecarlo as mc
 from levygof.cli import (EXIT_DATA, EXIT_ESTIMATION, EXIT_OK, EXIT_USAGE, _alt,
                          build_parser, main, read_observations)
-from levygof.condmoments import QuantileSplit
 from levygof.datasets import fixture_analysis
-from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec
+from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec, QuantileSplit
 from levygof.statistics import QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT, StatisticSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -676,6 +675,20 @@ class TestOtherCommands:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "window (0.3, 0.4)" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--method", "qcm", "--split", "0,1e-320", "--fixture", "vessels"),
+        ("calibrate", "--stat", "on", "--split", "0,1e-320", "--split", "0.5,0.9",
+         "--n-grid", "20", "--replicates", "10"),
+    ], ids=["estimate", "calibrate"])
+    def test_subnormal_window_is_one_error_line(self, capsys, argv):
+        # 1 / 1e-320 overflows a float; the bound the error names is exact.
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ESTIMATION
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: statistic ")
+        assert "needs n >= 1000011" in lines[0]
 
 
 class TestOutput:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfcinv
 
-from levygof.condmoments import (QuantileSplit, _erfcinv, theoretical_qcm,
-                                 theoretical_second_moment, theoretical_qcv, window_indices)
-from levygof.distributions import LevyParams, levy_quantile, sample_levy
-from levygof.statistics import StatisticSpec, evaluate, qcm, qcv
+from levygof.distributions import (LevyParams, QuantileSplit, _erfcinv, levy_quantile,
+                                   sample_levy, theoretical_qcm, theoretical_qcv,
+                                   theoretical_second_moment)
+from levygof.statistics import StatisticSpec, evaluate, qcm, qcv, window_indices
 from levygof.streams import RandomStream
 from oracles import qcmoment_quadrature_oracle
 

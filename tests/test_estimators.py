@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levygof.condmoments import QuantileSplit
-from levygof.distributions import LevyParams, sample_levy
+from levygof.distributions import LevyParams, QuantileSplit, sample_levy
 from levygof.montecarlo import ReplicationPlan, simulate_null
 from levygof.statistics import (METHODS, QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
                                 EstimationError, StatisticSpec, cov, evaluate, mle, qcm, qcv)

@@ -4,13 +4,13 @@ from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 import levygof.montecarlo as mc
-from levygof.condmoments import EstimationError
 from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec, sample_alternative
 from levygof.montecarlo import (CHUNK, MonteCarloError, ReplicationPlan, calibrate,
                                 normality_diagnostic, null_grid, p_value, power_grid,
                                 power_study, run_test, simulate_null)
-from levygof.statistics import STATISTIC_KINDS, StatisticSpec, evaluate_batch
+from levygof.statistics import STATISTIC_KINDS, EstimationError, StatisticSpec, evaluate_batch
 from levygof.streams import RandomStream
+from oracles import vn_asymptotic_sd
 
 
 def plan(b, seed=100, workers=1):
@@ -91,6 +91,14 @@ class TestSimulateNull:
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             simulate_null((StatisticSpec("on"),), 4, plan(100))
+
+    def test_vn_sd_near_its_asymptotic_law(self):
+        # The delta-method oracle shares no code with the kernels. At B = 4000
+        # the sample sd spreads by about 0.01 around it.
+        sd = vn_asymptotic_sd()
+        assert sd == pytest.approx(1.21136, abs=1e-5)
+        (nd,) = simulate_null((StatisticSpec("vn"),), 1000, plan(4000))
+        assert abs(nd.values.std(ddof=1) - sd) < 0.05
 
 
 class TestDrawOnce:

@@ -30,8 +30,6 @@ def test_all_names_resolve(name):
 
 # (importing module, module imported from, private name)
 PRIVATE_IMPORTS = {
-    ("distributions", "condmoments", "_check_scale"),
-    ("distributions", "condmoments", "_erfcinv"),
     ("cli", "montecarlo", "_check_diagnostic"),
     ("cli", "montecarlo", "_check_level"),
 }

@@ -1,16 +1,16 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from levygof import statistics
-from levygof.condmoments import QuantileSplit, window_indices
-from levygof.distributions import LevyParams, sample_levy
+from levygof.distributions import LevyParams, QuantileSplit, sample_levy
 from levygof.statistics import (_EXP_SUM_N, _EXP_TAU, _EXP_W, _KERNELS, METHODS, STATISTIC_KINDS,
                                 Batch, EstimationError, StatisticSpec, _shift_pairs, evaluate,
-                                evaluate_batch, mle, qcv)
+                                evaluate_batch, mle, qcv, window_bound, window_indices)
 from levygof.streams import RandomStream
 from oracles import cn_unscaled, exp_pairs_77, qcv_unscaled, shift_pairs_in_blocks
 
@@ -71,6 +71,11 @@ class TestFeasibility:
 
     def test_default_on_at_n6(self):
         StatisticSpec("on").check_n(6)
+
+    def test_bound_of_a_subnormal_window_is_exact(self):
+        # width / (b - a) overflows a float here.
+        expected = math.ceil(Fraction(2) / Fraction(5e-324))
+        assert window_bound(QuantileSplit(0.0, 5e-324), 2) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["on", "cn"]),
