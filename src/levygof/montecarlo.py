@@ -41,13 +41,22 @@ __all__ = [
     "normality_diagnostic",
 ]
 
-# Replicates are processed in chunks of min(CHUNK, max(1, CHUNK_VALUES // n))
-# rows, a size that depends on n alone, so that results do not depend on how
-# the chunk list is split across workers. Up to n = CHUNK_VALUES a chunk holds
-# at most CHUNK_VALUES drawn values (8 MiB of float64); above it a chunk is one
-# row of n values (8n bytes), so its memory grows with n.
+# Replicates are processed in chunks of `_chunk_rows(n)` rows, a size that
+# depends on n alone, so that results do not depend on how the chunk list is
+# split across workers. Up to n = CHUNK_VALUES a chunk holds
+# at most CHUNK_VALUES drawn values (256 KiB of float64); above it a chunk is
+# one row of n values (8n bytes), so its memory grows with n. The size moves
+# no byte, since each row has its own stream and every kernel groups rows by
+# n alone. 2**15 values, the element count of `statistics._PAIR_BUDGET`, was
+# chosen by measured peak RSS: chunks shrink only above n = 64, and at n = 250
+# a chunk's kernels peak at ~2 MiB traced against ~6 MiB at 2**20.
 CHUNK = 512
-CHUNK_VALUES = 2**20
+CHUNK_VALUES = 2**15
+
+
+def _chunk_rows(n: int) -> int:
+    """Replicates per chunk at sample size n."""
+    return min(CHUNK, max(1, CHUNK_VALUES // n))
 
 
 class MonteCarloError(RuntimeError):
@@ -124,7 +133,7 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     """
     check_grid(specs, (n,))
     b = plan.replicates
-    chunk = min(CHUNK, max(1, CHUNK_VALUES // n))
+    chunk = _chunk_rows(n)
     out = np.empty((len(specs), b))
     starts = range(0, b, chunk)
     tasks = [(specs, n, plan.master_seed, first + s, first + min(s + chunk, b), draw, params)
@@ -295,6 +304,8 @@ def _check_diagnostic(replicates: int, bins: int) -> None:
         raise ValueError("diagnostic needs at least 1000 replicates")
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    if bins > replicates:
+        raise ValueError(f"bins must be <= replicates ({replicates})")
 
 
 def normality_diagnostic(nd: NullDistribution, bins: int = 50) -> dict:

@@ -489,6 +489,9 @@ class TestOtherCommands:
         (("diagnose", "--stat", "vn", "--n-grid", "20", "--replicates", "10"), "1000 replicates"),
         (("diagnose", "--stat", "vn", "--n-grid", "20", "--replicates", "1000", "--bins", "0"),
          "--bins"),
+        # It used to draw the null and then build 10**9 histogram edges.
+        (("diagnose", "--stat", "cn", "--n-grid", "100", "--replicates", "1000", "--bins",
+          "1000000000"), "bins must be <= replicates (1000)"),
         (("sample", "--dist", "levy:-1", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy:nan,0", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy", "--n", "0"), "--n"),
@@ -548,7 +551,8 @@ class TestOtherCommands:
             "calibrate-n-0", "calibrate-n-grid-negative", "power-n-0", "diagnose-n-grid-0",
             "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
-            "diagnose-replicates-10", "diagnose-bins-0", "levy-c-negative", "levy-c-nan",
+            "diagnose-replicates-10", "diagnose-bins-0", "diagnose-bins-above-replicates",
+            "levy-c-negative", "levy-c-nan",
             "levy-n-0", "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",
             "mle-with-split", "unknown-method", "test-all-with-stat",
             "input-and-fixture", "column-with-fixture", "column-negative",

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 import levygof.montecarlo as mc
-from levygof.distributions import PAPER_ALTERNATIVES, AlternativeSpec, sample_alternative
+from levygof.distributions import (PAPER_ALTERNATIVES, AlternativeSpec, LevyParams,
+                                   sample_alternative, sample_levy)
 from levygof.montecarlo import (CHUNK, MonteCarloError, ReplicationPlan, calibrate,
                                 normality_diagnostic, null_grid, p_value, power_grid,
                                 power_study, run_test, simulate_null)
@@ -142,6 +145,59 @@ class TestDrawOnce:
         monkeypatch.setattr(mc, "sample_levy", draw)
         with pytest.raises(MonteCarloError, match="statistic vn failed on null replicate 5"):
             simulate_null((StatisticSpec("cn"), StatisticSpec("vn")), 20, plan(50))
+
+
+def _all_kinds_bytes(b, workers=1):
+    """Null values of all six statistics at n = 31 and 100, their values
+    under one alternative, and the power records, as bytes."""
+    specs = tuple(StatisticSpec(kind) for kind in STATISTIC_KINDS)
+    alt = AlternativeSpec("lognormal", (0.0, 1.0))
+    out = []
+    for n in (31, 100):
+        p = plan(b, seed=11, workers=workers)
+        nulls = simulate_null(specs, n, p)
+        out += [nd.values.tobytes() for nd in nulls]
+        out.append(mc._simulate(specs, n, p, b, sample_alternative, alt).tobytes())
+        out.append(repr(power_study(nulls, alt, 0.05)))
+    return out
+
+
+class TestChunkBudget:
+    """The chunk size moves no byte: each row draws from its own stream, and
+    each kernel groups rows by n alone. n = 31 and 100 cover both `ran`
+    kernels; at n = 100 a chunk of 2**15 or more values holds several
+    `_exp_pairs` row groups."""
+
+    B = 700  # leaves a short last chunk at every budget but 1
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mc, "CHUNK_VALUES", 2**20)
+            return _all_kinds_bytes(self.B)
+
+    @pytest.mark.parametrize("budget, workers", [(1, 1), (2**12, 1), (2**15, 1), (2**12, 2)],
+                             ids=["1", "2^12", "2^15", "2^12-2-workers"])
+    def test_bytes_do_not_depend_on_the_budget(self, monkeypatch, reference, budget, workers):
+        monkeypatch.setattr(mc, "CHUNK_VALUES", budget)
+        assert mc._chunk_rows(100) < 512
+        assert _all_kinds_bytes(self.B, workers) == reference
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_one_chunk_peaks_below_3_mib(self, n):
+        # At 2**20 values per chunk this read 5.9 and 23.5 MiB.
+        specs = tuple(StatisticSpec(kind) for kind in STATISTIC_KINDS)
+        task = (specs, n, 1, 0, mc._chunk_rows(n), sample_levy, LevyParams())
+        mc._chunk_task(task)  # fill the caches of the closed forms
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mc._chunk_task(task)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +444,10 @@ class TestDiagnostics:
     def test_at_least_one_bin(self, nd):
         with pytest.raises(ValueError, match="bins must be >= 1"):
             normality_diagnostic(nd, bins=0)
+
+    def test_at_most_one_bin_per_replicate(self, nd):
+        with pytest.raises(ValueError, match=r"bins must be <= replicates \(4000\)"):
+            normality_diagnostic(nd, bins=4001)
 
     def test_normal_cdf_matches_ndtr(self):
         # scipy.special.ndtr is the reference the scipy-free CDF replaced.
