@@ -4,9 +4,15 @@
 For each sample size, emits the Monte Carlo quartiles and whisker bounds of
 the QCM, QCV, MLE and COV estimates at a fixed true scale, as one JSON record
 per (estimator, n). Feed the output to any plotting tool.
+
+All four estimators are scale-equivariant, so the study is drawn at c = 1
+and each printed number is scaled by c; a draw at an extreme c would
+overflow or underflow. A c that puts a number outside the float range is a
+usage error.
 """
 import argparse
 import json
+import math
 
 import numpy as np
 
@@ -36,16 +42,20 @@ def main():
     except ValueError as e:
         ap.error(str(e))
 
+    records = []
     for n in n_grid:
-        for nd in simulate_null(SPECS, n, plan, c=args.c):
-            v = nd.values
-            q1, med, q3 = np.percentile(v, [25, 50, 75])
-            print(json.dumps({
+        for nd in simulate_null(SPECS, n, plan):
+            with np.errstate(over="ignore"):
+                lo, q1, med, q3, hi = args.c * np.percentile(nd.values, [2.5, 25, 50, 75, 97.5])
+            records.append({
                 "method": nd.spec.kind.upper(), "n": n, "c": args.c,
                 "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
-                "whisker_low": float(np.percentile(v, 2.5)),
-                "whisker_high": float(np.percentile(v, 97.5)),
-            }))
+                "whisker_low": lo, "whisker_high": hi,
+            })
+    if not all(math.isfinite(v) for r in records for k, v in r.items() if k != "method"):
+        ap.error(f"--c {args.c} puts the estimates outside the float range")
+    for r in records:
+        print(json.dumps(r))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Scale estimators and goodness-of-fit statistics for the one-sided Levy law.
 
-One table of row-wise kernels. Four scale estimators:
+One table of row-wise kernels, reached through ``evaluate_batch`` and
+``evaluate``. Four scale estimators (``METHODS``):
 
 * ``qcm`` — windowed conditional mean of the sorted rows over its Lv(1) constant.
 * ``qcv`` — root of the windowed conditional variance over its Lv(1)
@@ -26,10 +27,12 @@ Six scale-ratio / characterization test statistics (``STATISTIC_KINDS``):
 
 ``evaluate(spec, sample)`` is the scalar path of every row: the one-row case
 of ``evaluate_batch``, raising on precondition violations, with the row's
-``METHODS`` text for an estimator. ``evaluate_batch`` marks failed replicates
-as NaN so Monte Carlo callers can apply their own failure policy. Statistics
-evaluated on the same rows may share one ``Batch``, which computes the sorted
-rows, ``mle``, ``cov`` and the nonpositive-row mask once for all of them.
+``METHODS`` text for an estimator. ``evaluate_batch`` first checks the sample
+size by ``StatisticSpec.check_n``, the one feasibility check, and marks failed
+replicates as NaN so Monte Carlo callers can apply their own failure policy.
+Statistics evaluated on the same rows may share one ``Batch``, which defines
+the MLE and COV and computes them, the sorted rows and the nonpositive-row
+mask once for all of them.
 
 The module also owns the window convention, ``window_indices`` (which order
 statistics a window holds at n) and ``window_bound`` (from which n it holds
@@ -53,10 +56,6 @@ __all__ = [
     "window_indices",
     "window_bound",
     "METHODS",
-    "qcm",
-    "qcv",
-    "mle",
-    "cov",
     "QCM_SPLIT_DEFAULT",
     "QCV_SPLIT_DEFAULT",
     "StatisticSpec",
@@ -110,9 +109,9 @@ class EstimationError(ValueError):
 # Every estimator and statistic is evaluated row-wise on a (B, n) matrix; the
 # scalar path is the one-row case. Row-local reductions make results
 # independent of how the batch is chunked. A table kernel takes the spec and
-# the Batch of the rows; the estimators below are called with the sorted rows
-# and a window, or the rows. Every window of order statistics is cut here, by
-# `_window`, on the convention of `window_indices`.
+# the Batch of the rows. Every window of order statistics is cut by `_window`,
+# on the convention of `window_indices`, after `StatisticSpec.check_n` has
+# checked that it holds enough of them.
 
 def window_indices(n: int, split: QuantileSplit) -> tuple[int, int]:
     """Half-open index range [floor(n*a), floor(n*b)) into the order statistics."""
@@ -130,27 +129,15 @@ def window_bound(split: QuantileSplit, width: int) -> int:
     return math.ceil(width / (Fraction(split.b) - Fraction(split.a)))
 
 
-def _short_window(n: int, split: QuantileSplit, width: int) -> str | None:
-    """Why the window holds fewer than `width` order statistics at n, or None if it does not."""
-    i, j = window_indices(n, split)
-    if j - i < width:
-        return f"window ({split.a}, {split.b}) holds {j - i} order statistics, fewer than {width}"
-    return None
+def _window(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+    i, j = window_indices(xs.shape[1], split)
+    return xs[:, i:j]
 
 
-def _window(xs: np.ndarray, split: QuantileSplit, width: int) -> np.ndarray:
-    n = xs.shape[-1]
-    short = _short_window(n, split, width)
-    if short:
-        raise EstimationError(f"{short} at n={n}; need n >= {window_bound(split, width)}")
-    i, j = window_indices(n, split)
-    return xs[..., i:j]
-
-
-def qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+def _qcm(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """QCM scale of sorted rows: mean of the order statistics with 1-based
     index in (floor(na), floor(nb)] over the Lv(1) window constant."""
-    return _window(xs, split, 1).mean(axis=-1) / theoretical_qcm(split, 1.0)
+    return _window(xs, split).mean(axis=1) / theoretical_qcm(split, 1.0)
 
 
 def _unit_var(xs: np.ndarray, split: QuantileSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -162,41 +149,25 @@ def _unit_var(xs: np.ndarray, split: QuantileSplit) -> tuple[np.ndarray, np.ndar
     underflows at any magnitude. Scaling by a power of two is exact, so a
     value at ordinary magnitudes does not move.
     """
-    w = _window(xs, split, 2)
-    _, e = np.frexp(np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
-    return np.ldexp(w, -e[..., None]).var(axis=-1), e
+    w = _window(xs, split)
+    _, e = np.frexp(np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))
+    return np.ldexp(w, -e[:, None]).var(axis=1), e
 
 
-def qcv(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
+def _qcv(xs: np.ndarray, split: QuantileSplit) -> np.ndarray:
     """QCV scale of sorted rows: root of the windowed variance over the Lv(1) constant."""
     v, e = _unit_var(xs, split)
     return np.ldexp(np.sqrt(v / theoretical_qcv(split, 1.0)), e)
 
 
-def mle(x: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood scale along the last axis: reciprocal mean of the inverses."""
-    return 1.0 / (1.0 / x).mean(axis=-1)
-
-
-def cov(x: np.ndarray) -> np.ndarray:
-    """COV scale along the last axis; NaN where the inverse/log-inverse
-    covariance is not positive (so at n = 1)."""
-    y = 1.0 / x
-    z = np.log(y)
-    w = y - y.mean(axis=-1, keepdims=True)
-    v = z - z.mean(axis=-1, keepdims=True)
-    denom = np.sum(w * v, axis=-1)
-    return 2.0 * x.shape[-1] / np.where(denom > 0.0, denom, np.nan)
-
-
 class Batch:
     """A (B, n) matrix of rows and the intermediates its kernels share.
 
-    The sorted rows, ``mle``, ``cov`` and the mask of rows holding a
-    nonpositive value are each computed on first use, by the expression a
-    kernel alone would evaluate, so sharing them changes no value. Only row
-    vectors and the sorted matrix are kept. A Monte Carlo chunk builds one
-    Batch for all its statistics; a kernel never writes into what it reads.
+    Defines the MLE and COV scale estimates of the rows. They, the sorted
+    rows and the mask of rows holding a nonpositive value are each computed
+    on first use, so sharing them changes no value. Only row vectors and the
+    sorted matrix are kept. A Monte Carlo chunk builds one Batch for all its
+    statistics; a kernel never writes into what it reads.
     """
 
     def __init__(self, x):
@@ -211,11 +182,19 @@ class Batch:
 
     @cached_property
     def mle(self) -> np.ndarray:
-        return mle(self.x)
+        """Maximum-likelihood scale: reciprocal mean of the inverses."""
+        return 1.0 / (1.0 / self.x).mean(axis=1)
 
     @cached_property
     def cov(self) -> np.ndarray:
-        return cov(self.x)
+        """COV scale; NaN where the inverse/log-inverse covariance is not
+        positive (so at n = 1)."""
+        y = 1.0 / self.x
+        z = np.log(y)
+        w = y - y.mean(axis=1, keepdims=True)
+        v = z - z.mean(axis=1, keepdims=True)
+        denom = np.sum(w * v, axis=1)
+        return 2.0 * self.x.shape[1] / np.where(denom > 0.0, denom, np.nan)
 
     @cached_property
     def nonpositive(self) -> np.ndarray:
@@ -229,13 +208,13 @@ def _vn(spec, batch):
 def _on(spec, batch):
     s1, s2 = spec.splits
     xs = batch.sorted
-    return np.sqrt(xs.shape[1]) * (qcm(xs, s1) / qcm(xs, s2) - 1.0)
+    return np.sqrt(xs.shape[1]) * (_qcm(xs, s1) / _qcm(xs, s2) - 1.0)
 
 
 def _tn(spec, batch):
     (s1,) = spec.splits
     xs = batch.sorted
-    return np.sqrt(xs.shape[1]) * ((batch.cov + qcm(xs, s1)) / (2.0 * batch.mle) - 1.0)
+    return np.sqrt(xs.shape[1]) * ((batch.cov + _qcm(xs, s1)) / (2.0 * batch.mle) - 1.0)
 
 
 def _cn(spec, batch):
@@ -355,9 +334,9 @@ class _Kernel(NamedTuple):
 # The estimator rows copy the shared vector: evaluate_batch masks its result
 # in place.
 _KERNELS = {
-    "qcm": _Kernel(lambda spec, batch: qcm(batch.sorted, *spec.splits), False, 1,
+    "qcm": _Kernel(lambda spec, batch: _qcm(batch.sorted, *spec.splits), False, 1,
                    (QCM_SPLIT_DEFAULT,)),
-    "qcv": _Kernel(lambda spec, batch: qcv(batch.sorted, *spec.splits), False, 2,
+    "qcv": _Kernel(lambda spec, batch: _qcv(batch.sorted, *spec.splits), False, 2,
                    (QCV_SPLIT_DEFAULT,)),
     "mle": _Kernel(lambda spec, batch: batch.mle.copy(), True, 0, min_n=1),
     "cov": _Kernel(lambda spec, batch: batch.cov.copy(), True, 0),
@@ -410,7 +389,8 @@ class StatisticSpec:
         """
         kernel = _KERNELS[self.kind]
         width = kernel.window
-        short = [m for s in self.splits if (m := _short_window(n, s, width))]
+        short = [f"window ({s.a}, {s.b}) holds {j - i} order statistics, fewer than {width}"
+                 for s in self.splits for i, j in [window_indices(n, s)] if j - i < width]
         if n < kernel.min_n or short:
             need = max([kernel.min_n] + [window_bound(s, width) for s in self.splits])
             raise EstimationError("; ".join([f"statistic {self.kind} needs n >= {need}, got {n}",

@@ -19,8 +19,9 @@ code with the part of the package it checks:
   the exponential sum on 77 nodes at step 1/4 with an ``exp`` per node. The
   one-block shift kernel must equal the first bit for bit, and the
   exponential sum on squared exponentials must stay near the second;
-* ``vn_asymptotic_sd`` is the sd of vn's asymptotic null law by the delta
-  method and quadrature, against the Monte Carlo null of ``montecarlo``;
+* ``vn_asymptotic_sd`` and ``on_asymptotic_sd`` are the sds of vn's and
+  on's asymptotic null laws by the delta method and quadrature, against the
+  Monte Carlo null of ``montecarlo``;
 * ``fixture_sha256`` digests the embedded case-study data.
 """
 from __future__ import annotations
@@ -79,6 +80,33 @@ def vn_asymptotic_sd() -> float:
 
     half, _ = quad(psi_sq_density, 0.0, math.inf)
     return math.sqrt(2.0 * half)
+
+
+def on_asymptotic_sd() -> float:
+    """Asymptotic sd of on = sqrt(n) (q1 / q2 - 1) under the null, on its
+    default windows (0, 0.3) and (0.8, 0.95).
+
+    Each q_i is a windowed mean, an L-statistic (Stigler, Ann. Statist. 1974),
+    over its Lv(1) conditional mean m_i, so the delta method gives the
+    influence function psi(X) = clip(X, Q(a1), Q(b1)) / ((b1 - a1) m1)
+    - clip(X, Q(a2), Q(b2)) / ((b2 - a2) m2), Q the Lv(1) quantile. The sd
+    is that of psi under Lv(1), by quadrature over the pieces between the
+    four window quantiles, on which psi is linear; m_i comes from
+    ``qcmoment_quadrature_oracle``.
+    """
+    p = LevyParams()
+    s1, s2 = QuantileSplit(0.0, 0.3), QuantileSplit(0.8, 0.95)
+    w1, w2 = (1.0 / ((s.b - s.a) * qcmoment_quadrature_oracle(s)) for s in (s1, s2))
+    hi1, lo2, hi2 = (float(levy_quantile(u, p)) for u in (s1.b, s2.a, s2.b))
+
+    def psi(x):
+        return w1 * min(x, hi1) - w2 * min(max(x, lo2), hi2)
+
+    cuts = [0.0, hi1, lo2, hi2, math.inf]
+    moments = [sum(quad(lambda x: psi(x) ** k * levy_pdf(x, p), lo, hi,
+                        epsabs=1e-13, epsrel=1e-12, limit=500)[0]
+                   for lo, hi in zip(cuts, cuts[1:])) for k in (1, 2)]
+    return math.sqrt(moments[1] - moments[0] ** 2)
 
 
 def sample_levy_inverse(p: LevyParams, n: int, stream: RandomStream) -> np.ndarray:

@@ -13,7 +13,7 @@ from levygof.datasets import fixture_analysis
 from levygof.distributions import (AlternativeSpec, LevyParams, QuantileSplit, sample_levy,
                                    theoretical_qcm, theoretical_second_moment)
 from levygof.montecarlo import ReplicationPlan, p_value, power_study, simulate_null
-from levygof.statistics import StatisticSpec, cov, evaluate, evaluate_batch, mle, qcm, qcv
+from levygof.statistics import StatisticSpec, evaluate, evaluate_batch
 from levygof.streams import RandomStream
 from oracles import qcmoment_quadrature_oracle
 
@@ -123,8 +123,9 @@ def _estimator_matrix(n, replicates, c=2.0, qcm_split=QCM_BOXPLOT_SPLIT):
     rows = np.empty((replicates, n))
     for i in range(replicates):
         rows[i] = sample_levy(LevyParams(c=c), n, RandomStream(SEED + 1, i))
-    xs = np.sort(rows, axis=1)
-    return np.column_stack([qcm(xs, qcm_split), qcv(xs, QCV_SPLIT), mle(rows), cov(rows)])
+    specs = (StatisticSpec("qcm", (qcm_split,)), StatisticSpec("qcv", (QCV_SPLIT,)),
+             StatisticSpec("mle"), StatisticSpec("cov"))
+    return np.column_stack([evaluate_batch(spec, rows) for spec in specs])
 
 
 @pytest.mark.slow

@@ -6,19 +6,19 @@ from scipy.special import erfcinv
 from levygof.distributions import (LevyParams, QuantileSplit, _erfcinv, levy_quantile,
                                    sample_levy, theoretical_qcm, theoretical_qcv,
                                    theoretical_second_moment)
-from levygof.statistics import StatisticSpec, evaluate, qcm, qcv, window_indices
+from levygof.statistics import StatisticSpec, evaluate, evaluate_batch, window_indices
 from levygof.streams import RandomStream
 from oracles import qcmoment_quadrature_oracle
 
 
-# Window mean and variance of one unsorted sample: the QCM and QCV kernels
-# times their Lv(1) window constants.
+# Window mean and variance of one unsorted sample: the QCM and QCV rows of the
+# kernel table times their Lv(1) window constants.
 def wmean(x, split):
-    return qcm(np.sort(np.asarray(x, dtype=float)), split) * theoretical_qcm(split, 1.0)
+    return evaluate_batch(StatisticSpec("qcm", (split,)), [x])[0] * theoretical_qcm(split, 1.0)
 
 
 def wvar(x, split):
-    return qcv(np.sort(np.asarray(x, dtype=float)), split) ** 2 * theoretical_qcv(split, 1.0)
+    return evaluate_batch(StatisticSpec("qcv", (split,)), [x])[0] ** 2 * theoretical_qcv(split, 1.0)
 
 
 # A grid of splits spanning tail, bulk, and boundary-touching windows.
@@ -121,7 +121,7 @@ class TestSampleMoments:
         assert window_indices(20, QuantileSplit(0.0, 0.3)) == (0, 6)
 
     def test_empty_window_error_names_min_n(self):
-        with pytest.raises(ValueError, match="need n >="):
+        with pytest.raises(ValueError, match="needs n >= 7"):
             wmean([1.0, 2.0], QuantileSplit(0.8, 0.95))
 
     def test_small_variance_window_error(self):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from levygof.distributions import LevyParams, QuantileSplit, sample_levy
 from levygof.montecarlo import ReplicationPlan, simulate_null
-from levygof.statistics import (METHODS, QCM_SPLIT_DEFAULT, QCV_SPLIT_DEFAULT,
-                                EstimationError, StatisticSpec, cov, evaluate, mle, qcm, qcv)
+from levygof.statistics import (METHODS, QCM_SPLIT_DEFAULT, EstimationError, StatisticSpec,
+                                evaluate, evaluate_batch)
 from levygof.streams import RandomStream
 
 
@@ -107,27 +107,16 @@ class TestRowKernels:
     ROWS = np.vstack([sample_levy(LevyParams(c=1.5), 37, RandomStream(41, i))
                       for i in range(8)])
 
-    def test_rows_equal_one_dimensional_calls(self):
-        xs = np.sort(self.ROWS, axis=1)
-        split = QuantileSplit(0.1, 0.65)
-        for kernel, data in ((mle, self.ROWS), (cov, self.ROWS),
-                             (lambda v: qcm(v, split), xs), (lambda v: qcv(v, split), xs)):
-            batch = kernel(data)
-            assert batch.shape == (data.shape[0],)
-            for i, row in enumerate(data):
-                assert batch[i] == kernel(row)
-
     def test_estimates_equal_one_row_kernels(self):
-        for row in self.ROWS:
-            xs = np.sort(row)[None, :]
-            assert evaluate(StatisticSpec("mle"), row) == mle(row[None, :])[0]
-            assert evaluate(StatisticSpec("cov"), row) == cov(row[None, :])[0]
-            assert evaluate(StatisticSpec("qcm"), row) == qcm(xs, QCM_SPLIT_DEFAULT)[0]
-            assert evaluate(StatisticSpec("qcv"), row) == qcv(xs, QCV_SPLIT_DEFAULT)[0]
+        for method in METHODS:
+            spec = StatisticSpec(method)
+            batch = evaluate_batch(spec, self.ROWS)
+            for i, row in enumerate(self.ROWS):
+                assert evaluate(spec, row) == batch[i]
 
     def test_cov_nan_where_covariance_not_positive(self):
         rows = np.vstack([self.ROWS[0], np.full(37, 2.0)])
-        out = cov(rows)
+        out = evaluate_batch(StatisticSpec("cov"), rows)
         assert np.isfinite(out[0]) and np.isnan(out[1])
 
 

@@ -13,7 +13,7 @@ from levygof.montecarlo import (CHUNK, MonteCarloError, ReplicationPlan, calibra
                                 power_study, run_test, simulate_null)
 from levygof.statistics import STATISTIC_KINDS, EstimationError, StatisticSpec, evaluate_batch
 from levygof.streams import RandomStream
-from oracles import vn_asymptotic_sd
+from oracles import on_asymptotic_sd, vn_asymptotic_sd
 
 
 def plan(b, seed=100, workers=1):
@@ -102,6 +102,15 @@ class TestSimulateNull:
         assert sd == pytest.approx(1.21136, abs=1e-5)
         (nd,) = simulate_null((StatisticSpec("vn"),), 1000, plan(4000))
         assert abs(nd.values.std(ddof=1) - sd) < 0.05
+
+    def test_on_sd_near_its_asymptotic_law(self):
+        # The delta-method oracle takes its window means from quadrature, so
+        # it shares no code with the kernels. At B = 4000 the sample sd
+        # spreads by about 0.06 around it.
+        sd = on_asymptotic_sd()
+        assert sd == pytest.approx(5.94171, abs=1e-5)
+        (nd,) = simulate_null((StatisticSpec("on"),), 1000, plan(4000))
+        assert abs(nd.values.std(ddof=1) - sd) < 0.25
 
 
 class TestDrawOnce:

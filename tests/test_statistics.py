@@ -10,7 +10,7 @@ from levygof import statistics
 from levygof.distributions import LevyParams, QuantileSplit, sample_levy
 from levygof.statistics import (_EXP_SUM_N, _EXP_TAU, _EXP_W, _KERNELS, METHODS, STATISTIC_KINDS,
                                 Batch, EstimationError, StatisticSpec, _shift_pairs, evaluate,
-                                evaluate_batch, mle, qcv, window_bound, window_indices)
+                                evaluate_batch, window_bound, window_indices)
 from levygof.streams import RandomStream
 from oracles import cn_unscaled, exp_pairs_77, qcv_unscaled, shift_pairs_in_blocks
 
@@ -141,9 +141,10 @@ class TestMagnitude:
         # (the suite turns a RuntimeWarning into a failure).
         low, high = QuantileSplit(0.0, 0.7), QuantileSplit(0.2, 0.99)
         xs = np.array([[1e-300, 2e-300, 3e-300, 1e10]])
-        assert np.allclose(qcv(xs, low), qcv_unscaled(np.array([[1.0, 2.0, 3.0, 4.0]]), low) * 1e-300)
+        assert np.allclose(evaluate_batch(StatisticSpec("qcv", (low,)), xs),
+                           qcv_unscaled(np.array([[1.0, 2.0, 3.0, 4.0]]), low) * 1e-300)
         ys = np.array([[-1e300, 1e-300, 2e-300, 3e-300, 4e-300]])
-        assert np.allclose(qcv(ys, high),
+        assert np.allclose(evaluate_batch(StatisticSpec("qcv", (high,)), ys),
                            qcv_unscaled(np.array([[0.0, 1.0, 2.0, 3.0, 4.0]]), high) * 1e-300)
         spread = np.concatenate([[1e-300], np.linspace(1.0, 2.0, 48), [1e300]])
         rows = np.stack([spread, spread * 1e-250])
@@ -233,11 +234,12 @@ class TestNullBehaviour:
 
 
 # Dense O(B n^2) forms of the ran and deltan kernels: reference oracles for
-# the cyclic-shift and sorted-prefix-sum kernels of levygof.statistics.
+# the cyclic-shift and sorted-prefix-sum kernels of levygof.statistics. They
+# compute the MLE inline, so they share no code with the kernels.
 
 def _ran_dense(x, a):
     n = x.shape[1]
-    s = x / mle(x)[:, None]
+    s = x / (1 / (1 / x).mean(axis=1))[:, None]
     pair = (a + (s[:, :, None] + s[:, None, :]) / 4.0) ** -2.5
     single = 0.5 * (a + s) ** -2.5
     ker = pair - single[:, :, None] - single[:, None, :]
@@ -246,7 +248,7 @@ def _ran_dense(x, a):
 
 def _deltan_dense(x):
     n = x.shape[1]
-    c = mle(x)
+    c = 1 / (1 / x).mean(axis=1)
     mn = np.minimum(x[:, :, None], x[:, None, :])
     k1 = mn / x[:, :, None]
     k2 = mn / x[:, :, None] ** 2
@@ -277,7 +279,7 @@ def _family_rows(family, rng, b, n):
 
 def _pair_q(x, tuning):
     """The q of `ran`'s pair term: a / 2 + s / 4 on the MLE-scaled rows."""
-    return x / mle(x)[:, None] / 4.0 + tuning / 2.0
+    return x / (1 / (1 / x).mean(axis=1))[:, None] / 4.0 + tuning / 2.0
 
 
 @st.composite
