@@ -8,11 +8,13 @@ per (estimator, n). Feed the output to any plotting tool.
 All four estimators are scale-equivariant, so the study is drawn at c = 1
 and each printed number is scaled by c; a draw at an extreme c would
 overflow or underflow. A c that puts a number outside the float range is a
-usage error.
+usage error: a nonzero number below the smallest normal float counts as
+outside, since it has lost significant digits.
 """
 import argparse
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -52,7 +54,8 @@ def main():
                 "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
                 "whisker_low": lo, "whisker_high": hi,
             })
-    if not all(math.isfinite(v) for r in records for k, v in r.items() if k != "method"):
+    if not all(math.isfinite(v) and (v == 0 or abs(v) >= sys.float_info.min)
+               for r in records for k, v in r.items() if k != "method"):
         ap.error(f"--c {args.c} puts the estimates outside the float range")
     for r in records:
         print(json.dumps(r))

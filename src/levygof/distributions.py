@@ -4,9 +4,9 @@ alternative families."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from statistics import NormalDist
 
 import numpy as np
 
@@ -50,12 +50,15 @@ class QuantileSplit:
 
 
 def _check_scale(c: float) -> None:
-    if not np.isfinite(c) or c <= 0.0:
-        raise ValueError("scale c must be finite and > 0")
+    # A subnormal c holds too few significant digits to scale by.
+    if not np.isfinite(c) or c < sys.float_info.min:
+        raise ValueError(f"scale c must be finite and >= {sys.float_info.min!r}, "
+                         "the smallest normal float")
 
 
 def _erfcinv(q: float) -> float:
     """erfc^-1(q) = -Phi^-1(q/2) / sqrt(2); inf at q = 0 (a = 0) and where q/2 underflows."""
+    from statistics import NormalDist  # stdlib; loaded on first use
     half = q / 2.0
     return math.inf if half == 0.0 else -NormalDist().inv_cdf(half) / math.sqrt(2.0)
 

@@ -11,13 +11,23 @@ Determinism contract: every replicate draws from its own random stream keyed
 by (master seed, replicate index), and replicates are processed in chunks
 whose size depends on n alone, so output is byte-identical for a given plan
 regardless of worker count or scheduling.
+
+Process pool: a `null_grid` call (and so `power_grid`) opens at most one
+`ProcessPoolExecutor`, on its first simulation of more than one chunk, and
+maps every null and alternative draw of the grid onto it; it shuts down when
+the grid returns or raises. `run_test`, `simulate_null` and `power_study`,
+called on their own, open one for the call. A pool has min(worker hint, CPU
+cores, chunks of the largest simulation it serves) workers, and a one-chunk
+simulation runs in-process. The executor is looked up as this module's
+`ProcessPoolExecutor` when a pool opens, and `concurrent.futures` is imported
+only then, so a one-worker run never loads `multiprocessing`.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import sys
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +69,43 @@ def _chunk_rows(n: int) -> int:
     return min(CHUNK, max(1, CHUNK_VALUES // n))
 
 
+def __getattr__(name):
+    # PEP 562: `ProcessPoolExecutor` is imported on first use, when a pool
+    # opens or a caller reads (or replaces) it.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+class _Pool(ExitStack):
+    """The process pool of the simulations of `plan` at the sizes `n_grid`:
+    opened by the first `map` that needs it, shut down on leaving `with`.
+
+    The pool may start every worker on the first submit, so workers beyond
+    the chunks of the largest simulation, or beyond the cores, would only
+    cost forks.
+    """
+
+    def __init__(self, plan: ReplicationPlan, n_grid):
+        super().__init__()
+        chunks = max((-(-plan.replicates // _chunk_rows(n)) for n in n_grid), default=1)
+        self.workers = min(plan.worker_hint, chunks, os.cpu_count() or 1)
+        self._executor = None
+
+    def map(self, fn, tasks: list):
+        """fn over tasks in order: in this process for a single task or a
+        one-worker pool, else on the pool's workers."""
+        if self.workers < 2 or len(tasks) < 2:
+            return map(fn, tasks)
+        if self._executor is None:
+            # Looked up through the module, where callers may replace it.
+            executor = sys.modules[__name__].ProcessPoolExecutor
+            self._executor = self.enter_context(executor(max_workers=self.workers))
+        return self._executor.map(fn, tasks)
+
+
 class MonteCarloError(RuntimeError):
     pass
 
@@ -67,8 +114,10 @@ class MonteCarloError(RuntimeError):
 class ReplicationPlan:
     """Master seed, replicate count B and advisory worker count.
 
-    The worker count is an upper bound: a simulation runs at most one worker
-    per chunk of replicates (sized by n alone; see CHUNK) and per CPU core.
+    The worker count is an upper bound: a pool runs at most one worker per
+    CPU core and per chunk of replicates (sized by n alone; see CHUNK) of the
+    largest simulation it serves. A grid command (`null_grid`, `power_grid`)
+    opens one pool for all of its simulations; see the module docstring.
 
     Replicate i draws from stream (master_seed, i). A null simulation uses
     streams 0 ... B-1; a power study on that null draws its alternative
@@ -122,14 +171,15 @@ def check_grid(specs, n_grid) -> None:
 
 
 def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, first: int,
-              draw, params) -> np.ndarray:
+              draw, params, pool: _Pool | None = None) -> np.ndarray:
     """Values of each statistic on the same samples from streams first ...
     first + B - 1: a (len(specs), B) array in replicate order; NaN marks
     failed replicates.
 
     Each chunk of replicates is one `draw(params, n, stream, rows)` block,
     whose row k comes from stream index + k, and its statistics share one
-    `Batch` of those rows.
+    `Batch` of those rows. The chunks map onto `pool`, or without one onto a
+    pool of this call.
     """
     check_grid(specs, (n,))
     b = plan.replicates
@@ -138,24 +188,22 @@ def _simulate(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan, f
     starts = range(0, b, chunk)
     tasks = [(specs, n, plan.master_seed, first + s, first + min(s + chunk, b), draw, params)
              for s in starts]
-    # The pool may start every worker on the first submit, so more workers
-    # than chunks or cores would only cost forks.
-    workers = min(plan.worker_hint, len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for s, vals in zip(starts, (pool.map if pool else map)(_chunk_task, tasks)):
+    with _Pool(plan, (n,)) if pool is None else nullcontext(pool) as pool:
+        for s, vals in zip(starts, pool.map(_chunk_task, tasks)):
             out[:, s:s + chunk] = vals
     return out
 
 
 def simulate_null(specs: tuple[StatisticSpec, ...], n: int, plan: ReplicationPlan,
-                  c: float = 1.0) -> tuple[NullDistribution, ...]:
+                  c: float = 1.0, *, _pool: _Pool | None = None) -> tuple[NullDistribution, ...]:
     """Simulate the null law of each statistic on the same Lv(c) samples of size n.
 
     By pivotality c = 1 suffices; the override exists for pivotality checks.
     A failed replicate under the null signals a bug or an infeasible window,
     so it aborts with the replicate index rather than being absorbed.
+    `_pool` is the process pool of a grid call; see _simulate.
     """
-    vals = _simulate(specs, n, plan, 0, sample_levy, LevyParams(c=c))
+    vals = _simulate(specs, n, plan, 0, sample_levy, LevyParams(c=c), _pool)
     for spec, row in zip(specs, vals):
         bad = np.flatnonzero(~np.isfinite(row))
         if bad.size:
@@ -228,7 +276,7 @@ def run_test(specs: tuple[StatisticSpec, ...], sample, level: float,
 
 
 def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
-                level: float) -> tuple[dict, ...]:
+                level: float, *, _pool: _Pool | None = None) -> tuple[dict, ...]:
     """Rejection frequency under the alternative with each null's thresholds:
     one `levygof power` record per null.
 
@@ -241,13 +289,14 @@ def power_study(nulls: tuple[NullDistribution, ...], alt: AlternativeSpec,
     denominator under a far alternative) counts as a rejection: such samples
     are maximally inconsistent with the null, and discarding them would bias
     the power estimate downward. `failed_replicates` counts them.
+    `_pool` is the process pool of a grid call; see _simulate.
     """
     if not nulls or any((nd.n, nd.plan) != (nulls[0].n, nulls[0].plan) for nd in nulls):
         raise ValueError("power_study needs nulls of one sample size and plan")
     n, plan = nulls[0].n, nulls[0].plan
     thresholds = [calibrate(nd, level) for nd in nulls]
     b = plan.replicates
-    vals = _simulate(tuple(nd.spec for nd in nulls), n, plan, b, sample_alternative, alt)
+    vals = _simulate(tuple(nd.spec for nd in nulls), n, plan, b, sample_alternative, alt, _pool)
     cells = []
     for nd, th, v in zip(nulls, thresholds, vals):
         with np.errstate(invalid="ignore"):
@@ -266,11 +315,10 @@ def null_grid(specs: tuple[StatisticSpec, ...], n_grid, plan: ReplicationPlan, r
     Every statistic is checked at every n before the first draw. One
     `simulate_null` per n serves every statistic: `reduce(nulls)` turns that
     size's nulls into one list of records per statistic, and the nulls are
-    dropped before the next size is drawn.
+    dropped before the next size is drawn. The grid opens at most one process
+    pool, which its simulations share; see the module docstring.
     """
-    check_grid(specs, n_grid)
-    by_n = [reduce(simulate_null(specs, n, plan)) for n in n_grid]
-    return [rec for by_stat in zip(*by_n) for recs in zip(*by_stat) for rec in recs]
+    return _grid(specs, n_grid, plan, lambda nulls, pool: reduce(nulls))
 
 
 def power_grid(specs: tuple[StatisticSpec, ...], alts, n_grid, plan: ReplicationPlan,
@@ -280,11 +328,21 @@ def power_grid(specs: tuple[StatisticSpec, ...], alts, n_grid, plan: Replication
 
     The level, and every statistic at every n, are checked before the first
     draw. Each size's nulls serve every alternative (see power_study and
-    null_grid).
+    null_grid), and every draw shares the grid's one process pool.
     """
     _check_level(level)
-    return null_grid(specs, n_grid, plan,
-                     lambda nulls: zip(*(power_study(nulls, alt, level) for alt in alts)))
+    return _grid(specs, n_grid, plan, lambda nulls, pool: zip(
+        *(power_study(nulls, alt, level, _pool=pool) for alt in alts)))
+
+
+def _grid(specs, n_grid, plan: ReplicationPlan, reduce) -> list:
+    """null_grid with `reduce(nulls, pool)`, where `pool` is the grid's
+    `_Pool`: it is open for the whole grid and shut down when it returns or
+    raises."""
+    check_grid(specs, n_grid)
+    with _Pool(plan, n_grid) as pool:
+        by_n = [reduce(simulate_null(specs, n, plan, _pool=pool), pool) for n in n_grid]
+    return [rec for by_stat in zip(*by_n) for recs in zip(*by_stat) for rec in recs]
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -126,6 +125,7 @@ def window_bound(split: QuantileSplit, width: int) -> int:
     checked at the actual n. The quotient is exact: as a float it overflows
     on a window narrower than about 1e-308.
     """
+    from fractions import Fraction  # loaded on first use; only error messages need it
     return math.ceil(width / (Fraction(split.b) - Fraction(split.a)))
 
 

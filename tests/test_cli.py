@@ -494,6 +494,7 @@ class TestOtherCommands:
           "1000000000"), "bins must be <= replicates (1000)"),
         (("sample", "--dist", "levy:-1", "--n", "5"), "scale c"),
         (("sample", "--dist", "levy:nan,0", "--n", "5"), "scale c"),
+        (("sample", "--dist", "levy:1e-320", "--n", "3"), "scale c must be finite and >= 2.22"),
         (("sample", "--dist", "levy", "--n", "0"), "--n"),
         (("sample", "--dist", "levy", "--n", "5", "--seed", "-1"), "--seed"),
         (("estimate", "--method", "qcm", "--split", "0,1", "--fixture", "vessels"),
@@ -552,7 +553,7 @@ class TestOtherCommands:
             "calibrate-level-2",
             "power-level-0", "test-all-level-2", "test-all-with-split",
             "diagnose-replicates-10", "diagnose-bins-0", "diagnose-bins-above-replicates",
-            "levy-c-negative", "levy-c-nan",
+            "levy-c-negative", "levy-c-nan", "levy-c-subnormal",
             "levy-n-0", "sample-seed-negative", "qcm-split-to-1", "qcv-split-to-1",
             "mle-with-split", "unknown-method", "test-all-with-stat",
             "input-and-fixture", "column-with-fixture", "column-negative",
@@ -793,9 +794,9 @@ class TestStatGrid:
         calls = []
         simulate_null = mc.simulate_null
 
-        def counted(specs, n, plan):
+        def counted(specs, n, plan, **kwargs):
             calls.append(([spec.kind for spec in specs], n))
-            return simulate_null(specs, n, plan)
+            return simulate_null(specs, n, plan, **kwargs)
         monkeypatch.setattr(mc, "simulate_null", counted)
         code, out, _ = run(capsys, "diagnose", "--stat", "vn", "--stat", "tn", "--n-grid", "20,30",
                            "--replicates", "1000")
@@ -816,6 +817,84 @@ class TestStatGrid:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert needle in lines[0]
+
+
+# The grid commands at two sizes; at --replicates 1000 each size is 2 chunks.
+GRID_ARGV = {
+    "power": ("power", "--stat", "vn", "--stat", "cn", "--n-grid", "20,50"),
+    "calibrate": ("calibrate", "--stat", "vn", "--stat", "tn", "--n-grid", "20,50"),
+    "diagnose": ("diagnose", "--stat", "on", "--n-grid", "20,50"),
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The life of each pool a call opens, as ("open", workers) and then
+    "shutdown"; the pools map in this process, on a machine of 8 cores."""
+    events = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            events.append(("open", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append("shutdown")
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+    return events
+
+
+class TestOnePoolPerCommand:
+    """A grid command opens at most one process pool, for all its simulations."""
+
+    # One chunk per simulation (500 replicates) runs every draw in this
+    # process; diagnose needs 1000 replicates, 2 chunks at n = 20.
+    @pytest.mark.parametrize("command, workers, replicates, opened", [
+        *((command, "2", "1000", [("open", 2), "shutdown"]) for command in GRID_ARGV),
+        *((command, "1", "1000", []) for command in GRID_ARGV),
+        ("power", "2", "500", []),
+        ("calibrate", "2", "500", []),
+    ], ids=[*(f"{c}-workers-2" for c in GRID_ARGV), *(f"{c}-workers-1" for c in GRID_ARGV),
+            "power-one-chunk", "calibrate-one-chunk"])
+    def test_pools_opened(self, capsys, pools, command, workers, replicates, opened):
+        code, _, _ = run(capsys, *GRID_ARGV[command], "--replicates", replicates,
+                         "--workers", workers)
+        assert code == EXIT_OK
+        assert pools == opened
+
+    def test_pool_has_the_chunks_of_the_largest_simulation(self, capsys, pools):
+        # 1000 replicates are 2 chunks at n = 20 and 4 at n = 100.
+        code, _, _ = run(capsys, "calibrate", "--stat", "vn", "--n-grid", "20,100",
+                         "--replicates", "1000", "--workers", "8")
+        assert code == EXIT_OK
+        assert pools == [("open", 4), "shutdown"]
+
+    @pytest.mark.parametrize("command", GRID_ARGV)
+    def test_output_does_not_depend_on_the_workers(self, capsys, command):
+        outs = []
+        for workers in ("1", "2"):
+            code, out, _ = run(capsys, *GRID_ARGV[command], "--replicates", "1000",
+                               "--workers", workers)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_pool_shuts_down_when_a_reducer_raises(self, pools):
+        def reduce(nulls):
+            if nulls[0].n == 50:
+                raise RuntimeError("reducer failed")
+            return [[nd.n] for nd in nulls]
+        with pytest.raises(RuntimeError, match="reducer failed"):
+            mc.null_grid((StatisticSpec("vn"),), [20, 50, 100],
+                         mc.ReplicationPlan(0, 1000, 2), reduce)
+        assert pools == [("open", 2), "shutdown"]
 
 
 def option_sets() -> dict[str, list[str]]:
@@ -937,6 +1016,21 @@ class TestStartup:
                 assert not found, (f"{path.name} line {node.lineno} uses "
                                    f"{found}: BLAS would run on one thread, as cli.py sets "
                                    "OPENBLAS_NUM_THREADS=1; revisit that setting first")
+
+    def test_one_worker_run_loads_no_pool_or_stdlib_statistics(self):
+        code = ("import sys; before = set(sys.modules); import levygof.cli; "
+                "levygof.cli.main(['diagnose', '--stat', 'ran', '--n-grid', '100', "
+                "'--replicates', '1000']); "
+                "print(sorted({'multiprocessing', 'concurrent.futures.process', 'statistics', "
+                "'fractions'} & (set(sys.modules) - before)), file=sys.stderr); "
+                "import concurrent.futures, levygof.montecarlo as mc; "
+                "from levygof.statistics import StatisticSpec; "
+                "mc.simulate_null((StatisticSpec('vn'),), 20, mc.ReplicationPlan(0, 1024, 2)); "
+                "print(mc.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor, "
+                "file=sys.stderr)")
+        done = run_in_subprocess(code)
+        assert len(records(done.stdout)) == 1
+        assert done.stderr.splitlines() == ["[]", "True"]
 
     def test_import_leaves_out_scipy(self):
         code = ("import sys, levygof.cli; "

@@ -96,6 +96,8 @@ class TestLevyKernel:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LevyParams(c=0.0)
+        with pytest.raises(ValueError, match="2.2250738585072014e-308"):
+            LevyParams(c=1e-310)  # subnormal
         with pytest.raises(ValueError):
             LevyParams(c=1.0, mu=np.inf)
 

@@ -27,10 +27,14 @@ def run_script(name, *args):
     # At c = 1e308 the upper whisker is above the largest float.
     ("estimator_boxplots.py", ["--c", "1e308", "--replicates", "50", "--n-grid", "20"],
      "outside the float range"),
+    ("estimator_boxplots.py", ["--c", "1e-320"], "smallest normal float"),
+    # At c = 3e-308 the lower quartiles are subnormal.
+    ("estimator_boxplots.py", ["--c", "3e-308", "--replicates", "50", "--n-grid", "20"],
+     "outside the float range"),
     ("power_table.py", ["--replicates", "0"], "replicates"),
     ("power_table.py", ["--level", "2"], "level"),
 ], ids=["boxplots-replicates-0", "boxplots-n-grid-not-int", "boxplots-n-grid-1",
-        "boxplots-c-1e308", "power-replicates-0", "power-level-2"])
+        "boxplots-c-1e308", "boxplots-c-1e-320", "boxplots-c-3e-308", "power-replicates-0", "power-level-2"])
 def test_bad_argument_is_usage_error(name, args, needle):
     done = run_script(name, *args)
     assert done.returncode == 2

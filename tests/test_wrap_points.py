@@ -7,6 +7,7 @@ perfbench modules are imported as they are, without changes.
 """
 import importlib
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,3 +57,31 @@ def test_workload_calls_every_wrap_point(name):
     _, problems = guard(workload, summarize(tracer, pool, traced_s, traced_s), missing)
     assert problems == []
     assert [status for status, _ in outputs] == [0] * len(outputs)
+
+
+
+# Prints the wrap points missing, the spans recorded, the open-span stack and
+# whether the pool reported capacity, for one 2-worker simulation.
+TRACED_SIMULATION = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from layers import Tracer, installed
+from levygof.montecarlo import ReplicationPlan, simulate_null
+from levygof.statistics import StatisticSpec
+tracer, missing = Tracer(), set()
+with installed(tracer, ["montecarlo.pool"], missing):
+    simulate_null((StatisticSpec("vn"),), 20, ReplicationPlan(0, 1024, 2))
+print(sorted(missing), [tracer.names[i] for i in tracer.name], tracer.stack,
+      tracer.pool_capacity_s > 0)
+"""
+
+
+def test_traced_pool_counts_the_one_pool_of_a_simulation():
+    # In a fresh interpreter, where no pool has been opened (nor the executor
+    # imported) before the wrap point is installed.
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("a 2-worker simulation needs two CPU cores to start a pool")
+    done = subprocess.run([sys.executable, "-c", TRACED_SIMULATION, str(PERFBENCH)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.strip() == "[] ['montecarlo.pool'] [-1] True"
